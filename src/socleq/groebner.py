@@ -28,6 +28,7 @@ sub-lcms divide it strictly, giving a well-founded chain argument.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, RingMismatchError
@@ -103,12 +104,25 @@ def _rep_scale(fld, rep: dict, c) -> dict:
     return {idx: {m: fld.mul(c, pc) for m, pc in poly.items()} for idx, poly in rep.items()}
 
 
+class _OrderKeys(dict):
+    """order.key(m, weights) for each monomial m, computed once."""
+
+    __slots__ = ("order", "weights")
+
+    def __init__(self, order: MonomialOrder, weights):
+        self.order, self.weights = order, weights
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self.order.key(m, self.weights)
+        return k
+
+
 class _Engine:
     def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps, trunc: int | None, track: bool):
         self.ring = ring
         self.order = order
         self.weights = ring.weights
-        self.keyf = lambda m: order.key(m, ring.weights)
+        self.keyf = _OrderKeys(order, ring.weights).__getitem__
         self.steps = steps
         self.trunc = trunc
         self.track = track
@@ -175,10 +189,7 @@ class _Engine:
         lead = max(acc, key=self.keyf)
         lc = acc.pop(lead)
         inv = fld.inv(lc)
-        tail = tuple(
-            (m, fld.mul(inv, c))
-            for m, c in sorted(acc.items(), key=lambda t: self.keyf(t[0]), reverse=True)
-        )
+        tail = tuple((m, fld.mul(inv, c)) for m, c in acc.items())
         if rep is not None:
             rep = _rep_scale(fld, rep, inv)
         elt = _Elt(lead, tail, rep)
@@ -269,12 +280,12 @@ class _Engine:
             elt = self.basis[i]
             others = [self.basis[k] for k in kept if k != i]
             sub = _Engine(self.ring, self.order, self.steps, self.trunc, self.track)
+            sub.keyf = keyf
             sub.basis = others
             sub.divs = [e for e in others if not e.cover]
             acc = dict(elt.tail)
             red, rep = sub.reduce_full(acc, elt.rep)
-            terms = [(elt.lead, fld.one)]
-            terms.extend(sorted(red.items(), key=lambda t: keyf(t[0]), reverse=True))
+            terms = [(elt.lead, fld.one), *red.items()]
             out.append((elt.lead, terms, rep))
         out.sort(key=lambda t: keyf(t[0]))
         return out
@@ -343,20 +354,12 @@ def normal_form(
     steps = _Steps(limits.step_budget)
     eng = _Engine(ring, order, steps, trunc, False)
     fld = ring.field
-    keyf = eng.keyf
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("basis element from a different ring")
         lead, lc = g.lead(order)
         inv = fld.inv(lc)
-        tail = tuple(
-            (m, fld.mul(inv, c))
-            for m, c in sorted(
-                ((m, c) for m, c in g.terms if m != lead),
-                key=lambda t: keyf(t[0]),
-                reverse=True,
-            )
-        )
+        tail = tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)
         elt = _Elt(lead, tail, None)
         eng.basis.append(elt)
         eng.divs.append(elt)
@@ -369,8 +372,10 @@ def normal_form(
 
 
 class Ideal:
-    """A finitely generated ideal of the ambient ring, with a per-order cache
-    of reduced Groebner bases (first writer wins, safe for concurrent readers).
+    """A finitely generated ideal of the ambient ring, with a cache of
+    reduced Groebner bases keyed by (order, trunc) (first writer wins, safe
+    for concurrent readers).  A LocalRing interns its Ideals by generator
+    tuple: one basis store per ring, never shared across rings.
     """
 
     __slots__ = ("ring", "gens", "_cache")
@@ -397,17 +402,18 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def groebner_basis(self, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS) -> tuple:
-        order = order or self.ring.default_order
-        cached = self._cache.get(order)
+    def groebner_basis(self, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS,
+                       trunc: int | None = None) -> tuple:
+        """Reduced basis of the ideal, or with trunc=K of the ideal plus m^K."""
+        key = (order or self.ring.default_order, trunc)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if not self.gens:
+        if not self.gens and trunc is None:
             basis: tuple = ()
         else:
-            basis = tuple(buchberger(self.gens, order, limits))
-        self._cache.setdefault(order, basis)
-        return self._cache[order]
+            basis = tuple(buchberger(self.gens, key[0], limits, trunc=trunc, ring=self.ring))
+        return self._cache.setdefault(key, basis)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS) -> Polynomial:
         basis = self.groebner_basis(order, limits)
@@ -502,12 +508,9 @@ def lead_ideal_dimension(basis: Sequence[Polynomial], ring: RingSpec, order: Mon
         return -1  # unit ideal
     n = ring.nvars
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    best = 0
     for size in range(n, 0, -1):
-        import itertools as _it
-
-        for combo in _it.combinations(range(n), size):
+        for combo in itertools.combinations(range(n), size):
             cs = set(combo)
             if all(not s <= cs for s in supports):
                 return size
-    return best
+    return 0

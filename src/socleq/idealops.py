@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import InputError, RingMismatchError
+from .errors import BudgetExceededError, InputError, RingMismatchError
 from .groebner import Ideal, eliminate
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import MonomialOrder, Polynomial, RingSpec, mono_div, mono_divides
@@ -175,4 +175,4 @@ def saturate(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS, max_steps: int
         if equal_as_s_ideals(nxt, cur, limits):
             return cur, k
         cur = nxt
-    raise InputError(f"saturation did not stabilise within {max_steps} colon steps")
+    raise BudgetExceededError(f"saturation did not stabilise within {max_steps} colon steps")

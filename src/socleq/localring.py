@@ -22,6 +22,11 @@ every local question is answered by one of three certified routes:
 
 Lengths of finite modules W/b with m^N W inside b are ranks of finitely many
 normal forms, taken over the monomial multipliers of degree below N.
+
+Basis store: a LocalRing interns each S-ideal a + J by its deduplicated
+generator tuple, and the Ideal caches its bases by truncation (None or K), so
+every basis the ring reads is computed once.  The store lives and dies with
+its LocalRing and is never shared across rings.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from .errors import InputError, UndecidableError
 from .groebner import (
     Ideal,
-    buchberger,
     lead_ideal_dimension,
     min_lead_monomials,
     normal_form,
@@ -100,14 +104,12 @@ class LocalRing:
             if g:
                 gens.append(g)
         self.ring = ring
-        self.defining = Ideal(ring, gens)
         self.limits = limits
         self.auditor = None  # optional callable(record: dict)
-        self._full_cache: dict = {}
-        self._tb_cache: dict = {}
+        self._ideals: dict = {}  # the basis store: generator tuple -> Ideal
         self._len_cache: dict = {}
         self._dim: int | None = None
-        self._graded_cache: dict = {}
+        self.defining = self._intern(gens)
         if gens and self.defining.is_unit_ideal(limits):
             raise InputError("defining ideal is the unit ideal; the quotient is the zero ring")
 
@@ -126,26 +128,17 @@ class LocalRing:
     def maximal(self) -> Ideal:
         return maximal_ideal(self.ring)
 
+    def _intern(self, gens) -> Ideal:
+        fresh = Ideal(self.ring, gens)
+        return self._ideals.setdefault(fresh.gens, fresh)
+
     def full(self, I: Ideal) -> Ideal:
-        """The S-ideal a + I, cached so Groebner bases are shared."""
-        key = I.gens
-        got = self._full_cache.get(key)
-        if got is None:
-            got = Ideal(self.ring, self.defining.gens + I.gens)
-            self._full_cache[key] = got
-        return got
+        """The S-ideal a + I, interned so that its bases come from the store."""
+        return self._intern(self.defining.gens + I.gens)
 
     def _emit(self, record: dict) -> None:
         if self.auditor is not None:
             self.auditor(record)
-
-    def _truncated_basis(self, gens: tuple, K: int):
-        key = (gens, K)
-        got = self._tb_cache.get(key)
-        if got is None:
-            got = tuple(buchberger(list(gens), None, self.limits, trunc=K, ring=self.ring))
-            self._tb_cache[key] = got
-        return got
 
     def _is_graded_ideal(self, I: Ideal) -> bool:
         """Is a + I homogeneous for the ring's weights?
@@ -153,23 +146,18 @@ class LocalRing:
         An ideal is homogeneous iff its reduced basis under the (weighted
         degree first) default order is homogeneous.
         """
-        key = I.gens
-        got = self._graded_cache.get(key)
-        if got is None:
-            basis = self.full(I).groebner_basis(None, self.limits)
-            got = all(g.weighted_degree() is not None for g in basis)
-            self._graded_cache[key] = got
-        return got
+        basis = self.full(I).groebner_basis(None, self.limits)
+        return all(g.weighted_degree() is not None for g in basis)
 
     # -- lengths ------------------------------------------------------------------
 
     def quotient_dim_at(self, I: Ideal, K: int) -> int:
         """d_K = dim_k S/(a + I + m^K), an exact finite number for every K."""
-        gens = self.full(I).gens
-        basis = self._truncated_basis(gens, K)
+        full = self.full(I)
+        basis = full.groebner_basis(None, self.limits, trunc=K)
         leads = min_lead_monomials(basis)
         dK = len(standard_monomials_below(leads, self.ring, K, cap=self.limits.dim_cap))
-        self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": gens, "K": K, "dim": dK})
+        self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens, "K": K, "dim": dK})
         return dK
 
     def length_of_quotient(self, I: Ideal) -> StableLength | None:
@@ -236,18 +224,15 @@ class LocalRing:
 
     # -- membership and containment -------------------------------------------------
 
-    def _nf_member(self, f: Polynomial, gens: tuple, K: int | None) -> tuple:
-        """Normal form of f against a + gens (+ m^K when K is given).
+    def _nf_member(self, f: Polynomial, target: Ideal, K: int | None) -> tuple:
+        """Normal form of f against the interned S-ideal target (+ m^K when K
+        is given).
 
         Returns (member, reduced_form)."""
-        if K is None:
-            basis = Ideal(self.ring, list(gens)).groebner_basis(None, self.limits)
-            red = normal_form(f, basis, None, self.limits)
-        else:
-            basis = self._truncated_basis(gens, K)
-            red = normal_form(f, basis, None, self.limits, trunc=K)
+        basis = target.groebner_basis(None, self.limits, trunc=K)
+        red = normal_form(f, basis, None, self.limits, trunc=K)
         member = not red
-        self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": gens, "K": K, "member": member})
+        self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})
         return member, red
 
     def check_contained(self, I: Ideal, J: Ideal) -> Containment:
@@ -256,7 +241,7 @@ class LocalRing:
         target = self.full(J)
         if self._is_graded_ideal(J):
             for g in I.gens:
-                member, _ = self._nf_member(g, target.gens, None)
+                member, _ = self._nf_member(g, target, None)
                 if not member:
                     return Containment(False, True, "graded", witness=g)
             return Containment(True, True, "graded")
@@ -264,14 +249,14 @@ class LocalRing:
         if stable is not None:
             K = max(stable.level, 1)
             for g in I.gens:
-                member, _ = self._nf_member(g, target.gens, K)
+                member, _ = self._nf_member(g, target, K)
                 if not member:
                     return Containment(False, True, "finite-colength", witness=g, level=K)
             return Containment(True, True, "finite-colength", level=K)
         # probe: refutation is certified, confirmation is not available
         for K in range(1, self.limits.trunc_k_budget + 1):
             for g in I.gens:
-                member, _ = self._nf_member(g, target.gens, K)
+                member, _ = self._nf_member(g, target, K)
                 if not member:
                     return Containment(False, True, "truncation-probe", witness=g, level=K)
         return Containment(None, False, "truncation-probe", level=self.limits.trunc_k_budget)
@@ -289,7 +274,7 @@ class LocalRing:
 
     def is_unit_element(self, f: Polynomial) -> bool:
         """Is f a unit of A, i.e. nonzero constant term after reduction mod a?"""
-        member, red = self._nf_member(f, self.defining.gens, None) if self.defining.gens else (not f, f)
+        member, red = self._nf_member(f, self.defining, None) if self.defining.gens else (not f, f)
         if member:
             return False
         return bool(red.constant_term())

@@ -64,11 +64,14 @@ class MonomialOrder:
     def __repr__(self):
         return self.name
 
+    def _fields(self) -> tuple:  # what equality and hashing compare
+        return ()
+
     def __eq__(self, other):
-        return type(self) is type(other) and self.__dict__ == other.__dict__
+        return type(self) is type(other) and self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.__dict__.items()))))
+        return hash((type(self).__name__,) + self._fields())
 
 
 class GrevLex(MonomialOrder):
@@ -111,21 +114,25 @@ class Block(MonomialOrder):
 
     def __init__(self, first: Iterable[int]):
         self.first = tuple(sorted(first))
+        self._rest: dict = {}  # number of variables -> indices outside `first`
 
     def __repr__(self):
         return f"block{self.first}"
 
+    def _fields(self) -> tuple:
+        return (self.first,)
+
     def key(self, mono, weights):
         fst = self.first
-        head = tuple(mono[i] for i in fst)
-        hw = tuple(weights[i] for i in fst)
-        rest_idx = [i for i in range(len(mono)) if i not in fst]
-        tail = tuple(mono[i] for i in rest_idx)
-        tw = tuple(weights[i] for i in rest_idx)
+        rest = self._rest.get(len(mono))
+        if rest is None:
+            rest = self._rest[len(mono)] = tuple(i for i in range(len(mono)) if i not in fst)
+        head = [mono[i] for i in fst]
+        tail = [mono[i] for i in rest]
         return (
-            sum(e * w for e, w in zip(head, hw)),
+            sum(mono[i] * weights[i] for i in fst),
             tuple(-e for e in reversed(head)),
-            sum(e * w for e, w in zip(tail, tw)),
+            sum(mono[i] * weights[i] for i in rest),
             tuple(-e for e in reversed(tail)),
         )
 

@@ -1,7 +1,7 @@
 import pytest
 
 from socleq import QQ, Ideal, RingSpec, parse_poly, parse_poly_list
-from socleq.errors import InputError
+from socleq.errors import BudgetExceededError, InputError
 from socleq.idealops import (
     colon,
     colon_by_poly,
@@ -112,6 +112,12 @@ def test_saturate_m_primary_goes_unit(rxy):
     sat, k = saturate(I, maximal_ideal(rxy))
     assert basis_strs(sat) == ["1"]
     assert k >= 1
+
+
+def test_saturate_step_limit_is_a_budget(rxy):
+    # (X^2, Y^3) needs at least one colon step before it stabilises
+    with pytest.raises(BudgetExceededError):
+        saturate(ideal(rxy, "X^2, Y^3"), maximal_ideal(rxy), max_steps=1)
 
 
 def test_equal_as_s_ideals(rxy):

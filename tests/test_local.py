@@ -1,8 +1,12 @@
 import pytest
 
+import socleq.groebner
 from socleq import QQ, Ideal, RingSpec, parse_poly, parse_poly_list
 from socleq.errors import InputError
+from socleq.idealops import ideal_power, ideal_product
+from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
+from socleq.zoo import build
 
 
 def make(varnames, defining):
@@ -31,6 +35,22 @@ def plane_with_point():
 @pytest.fixture
 def regular2():
     return make(["X", "Y"], "")
+
+
+@pytest.fixture
+def buchberger_inputs(monkeypatch):
+    """Every buchberger input (generators, order, truncation) in call order."""
+    seen = []
+    real = socleq.groebner.buchberger
+
+    def counted(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, track=False, ring=None):
+        gens = tuple(g for g in gens if g)
+        ring = gens[0].ring if gens else ring
+        seen.append((gens, order or ring.default_order, trunc))
+        return real(gens, order, limits, trunc, track, ring)
+
+    monkeypatch.setattr(socleq.groebner, "buchberger", counted)
+    return seen
 
 
 def test_defining_must_be_local():
@@ -174,3 +194,30 @@ def test_probe_refutes_but_does_not_confirm():
     assert outside.holds is False
     assert outside.certified
     assert str(outside.witness) == "Y"
+
+
+def _semigroup3_golden():
+    loc = build("semigroup3").local
+    Q = loc.ideal("X1")
+    return loc, Q, loc.socle_of(Q)
+
+
+def test_graded_route_computes_the_target_basis_once(buchberger_inputs):
+    # I^3 = Q I^2 at the golden parameter (r = e - 1 = 2), so the graded
+    # route tests every generator of I^3 against the one target a + Q I^2
+    loc, Q, I = _semigroup3_golden()
+    J = ideal_product(Q, ideal_power(I, 2))
+    buchberger_inputs.clear()
+    got = loc.check_contained(ideal_power(I, 3), J)
+    assert got.holds is True and got.method == "graded"
+    target = loc.full(J).gens
+    assert sum(1 for gens, _, trunc in buchberger_inputs
+               if gens == target and trunc is None) <= 1
+
+
+def test_reduction_number_computes_each_basis_once(buchberger_inputs):
+    loc, Q, I = _semigroup3_golden()
+    buchberger_inputs.clear()
+    assert loc.reduction_number(I, Q) == 2
+    assert buchberger_inputs
+    assert len(buchberger_inputs) == len(set(buchberger_inputs))

@@ -54,6 +54,10 @@ def test_lex_and_block_orders():
     elim = Block([0])  # X dominates {Y, Z}
     assert compare(elim, (1, 0, 0), (0, 5, 0), r.weights) == 1
     assert compare(elim, (0, 1, 0), (0, 0, 2), r.weights) == -1  # grevlex on the tail block
+    # keys computed on several ring sizes leave equality and hashing to `first`
+    compare(elim, (0, 1), (1, 0), (1, 1))
+    assert elim == Block((0,)) and hash(elim) == hash(Block((0,)))
+    assert elim != Block((1,)) and elim != LEX
 
 
 def test_order_axioms_spotchecks(rxy):
