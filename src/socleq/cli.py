@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import EngineError, InputError
-from .experiments import EXPERIMENTS, run_all
+from .experiments import EXPERIMENTS, run_all, socle_record
 from .field import QQ, FP, Field, parse_field
 from .limits import DEFAULT_LIMITS
 from .localring import LocalRing, check_socle_square
@@ -119,6 +119,12 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(to_json(payload))
 
 
+def _write_record(args, loc: LocalRing, name: str, passed: bool, record: dict) -> None:
+    """Write a one-experiment, one-record report to --json."""
+    result = {"name": name, "passed": passed, "records": [record]}
+    _write_json(args.json, build_report(loc.ring.field, args.seed, [result]))
+
+
 def _cmd_check(args) -> int:
     loc, name, named = _load_local(args)
     Q = _parse_q(loc, named, args.q)
@@ -131,19 +137,8 @@ def _cmd_check(args) -> int:
     if rep.witness is not None:
         print(f"  witness outside QI: {rep.witness}")
     if args.json:
-        _write_json(args.json, {
-            "schema": "socleq-report/1", "status": "pass" if rep.equal else "fail",
-            "tool": {"name": "socleq", "version": __version__},
-            "field": loc.ring.field.describe(), "seed": args.seed, "passed": rep.equal,
-            "experiments": [{"name": "check_i2qi", "passed": rep.equal, "records": [{
-                "ring": name, "q": [str(g) for g in Q.gens], "equal": rep.equal,
-                "index": rep.socle_dim, "len_a_mod_q": rep.len_A_mod_Q,
-                "len_a_mod_i": rep.len_A_mod_I, "socle_is_unit": rep.socle_is_unit,
-                "note": "I = A" if rep.socle_is_unit else None,
-                "method": rep.method, "level": rep.level,
-                "witness": str(rep.witness) if rep.witness is not None else None,
-            }]}],
-        })
+        _write_record(args, loc, "check_i2qi", rep.equal,
+                      socle_record(loc, Q, name, rep))
     return 0 if rep.equal else 1
 
 
@@ -154,14 +149,9 @@ def _cmd_rednum(args) -> int:
     r = loc.reduction_number(I, Q, cap=args.cap)
     print(f"reduction number of Q : m against Q on {name}: {r}")
     if args.json:
-        _write_json(args.json, {
-            "schema": "socleq-report/1", "status": "pass",
-            "tool": {"name": "socleq", "version": __version__},
-            "field": loc.ring.field.describe(), "seed": args.seed, "passed": True,
-            "experiments": [{"name": "rednum", "passed": True, "records": [{
-                "ring": name, "q": [str(g) for g in Q.gens],
-                "socle_gens": [str(g) for g in I.gens], "reduction_number": r,
-            }]}],
+        _write_record(args, loc, "rednum", True, {
+            "ring": name, "q": [str(g) for g in Q.gens],
+            "socle_gens": [str(g) for g in I.gens], "reduction_number": r,
         })
     return 0
 
@@ -182,16 +172,11 @@ def _cmd_invariants(args) -> int:
     if est is not None:
         print(f"  type estimate = {est.estimate} from samples {list(est.values)}")
     if args.json:
-        _write_json(args.json, {
-            "schema": "socleq-report/1", "status": "pass",
-            "tool": {"name": "socleq", "version": __version__},
-            "field": loc.ring.field.describe(), "seed": args.seed, "passed": True,
-            "experiments": [{"name": "invariants", "passed": True, "records": [{
-                "ring": name, "dim": dim, "multiplicity": e, "h0_length": h0len,
-                "h0_gens": [str(g) for g in W.gens] if h0len else [],
-                "depth_probe": depth,
-                "type_estimate": est.estimate if est else None,
-            }]}],
+        _write_record(args, loc, "invariants", True, {
+            "ring": name, "dim": dim, "multiplicity": e, "h0_length": h0len,
+            "h0_gens": [str(g) for g in W.gens] if h0len else [],
+            "depth_probe": depth,
+            "type_estimate": est.estimate if est else None,
         })
     return 0
 

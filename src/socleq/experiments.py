@@ -17,7 +17,7 @@ from .errors import InputError
 from .field import Field, QQ
 from .groebner import Ideal
 from .idealops import colon, ideal_power, ideal_product, intersect
-from .localring import LocalRing, check_socle_square
+from .localring import LocalRing, SocleEqualityReport, check_socle_square
 from .probes import (
     buchsbaum_probe,
     estimate_cm_type,
@@ -47,8 +47,11 @@ def _entry(ident: str, field: Field, auditor=None):
     return z
 
 
-def _socle_record(local: LocalRing, Q: Ideal, ring_id: str) -> dict:
-    rep = check_socle_square(local, Q)
+def socle_record(local: LocalRing, Q: Ideal, ring_id: str,
+                 rep: SocleEqualityReport | None = None) -> dict:
+    """JSON record of check_socle_square(local, Q), or of rep if already computed."""
+    if rep is None:
+        rep = check_socle_square(local, Q)
     return {
         "ring": ring_id,
         "q": _gens(Q),
@@ -93,7 +96,7 @@ def almost_dvr_criterion(field: Field, seed: int, auditor=None) -> dict:
             "Y^3 - X*Y", "Y^4"]
     for qtxt in grid:
         Q = loc.ideal(qtxt)
-        rec = _socle_record(loc, Q, z.ident)
+        rec = socle_record(loc, Q, z.ident)
         deep = loc.check_contained(Q, ideal_power(loc.maximal(), 2)).holds
         rec["q_in_m2"] = deep
         ok &= _expect(rec, "equal", not deep)
@@ -171,7 +174,7 @@ def plane_line_truth_table(field: Field, seed: int, auditor=None) -> dict:
         instances += [sample_sop(loc, 1, rng, max_draws=60) for _ in range(20)]
         deep_from = len(grid)
         for pos, Q in enumerate(instances):
-            rec = _socle_record(loc, Q, z.ident)
+            rec = socle_record(loc, Q, z.ident)
             rec["index_at_most_two"] = rec["index"] <= 2
             ok &= _expect(rec, "index_at_most_two", True)
             if l >= 2:
@@ -181,7 +184,7 @@ def plane_line_truth_table(field: Field, seed: int, auditor=None) -> dict:
                 ok &= _expect(rec, "equal", True)
             records.append(rec)
         if l == 1:
-            rec = _socle_record(loc, loc.ideal("X - Y, Y^2 - Z^2"), z.ident)
+            rec = socle_record(loc, loc.ideal("X - Y, Y^2 - Z^2"), z.ident)
             ok &= _expect(rec, "equal", False)
             ok &= _expect(rec, "index", 2)
             records.append(rec)
@@ -208,7 +211,7 @@ def triple_line_truth_table(field: Field, seed: int, auditor=None) -> dict:
         for gtxt in ("0", "Y", "Z"):
             for n in (1, 2, 3):
                 Q = loc.ideal(f"Z^{n} + X*({ftxt}) + Y*({gtxt})")
-                rec = _socle_record(loc, Q, z.ident)
+                rec = socle_record(loc, Q, z.ident)
                 rec.update({"f": ftxt, "g": gtxt, "n": n, "f_unit": f_unit})
                 if f_unit:
                     ok &= _expect(rec, "equal", True)
@@ -236,30 +239,30 @@ def regular_spot(field: Field, seed: int, auditor=None) -> dict:
     loc = z.local
     for q in (2, 3):
         Q = loc.ideal(f"X, Y, Z^{q}")
-        rec = _socle_record(loc, Q, z.ident)
+        rec = socle_record(loc, Q, z.ident)
         rec["socle_matches"] = loc.check_equal(
             loc.socle_of(Q), loc.ideal(f"X, Y, Z^{q-1}")).equal
         ok &= _expect(rec, "equal", False)
         ok &= _expect(rec, "index", 1)
         ok &= _expect(rec, "socle_matches", True)
         records.append(rec)
-    rec = _socle_record(loc, loc.ideal("X, Y, Z"), z.ident)
+    rec = socle_record(loc, loc.ideal("X, Y, Z"), z.ident)
     ok &= _expect(rec, "equal", False)
     ok &= _expect(rec, "socle_is_unit", True)
     rec["note"] = "I = A"
     records.append(rec)
     notes.append("for Q = m the socle enlargement is the unit ideal")
-    rec = _socle_record(loc, loc.ideal("X^2, Y^2, Z^2"), z.ident)
+    rec = socle_record(loc, loc.ideal("X^2, Y^2, Z^2"), z.ident)
     ok &= _expect(rec, "equal", True)
     records.append(rec)
     z2 = _entry("regular2", field, auditor)
     for qtxt, want in (("X, Y^3", False), ("X^2, Y^2", True)):
-        rec = _socle_record(z2.local, z2.local.ideal(qtxt), z2.ident)
+        rec = socle_record(z2.local, z2.local.ideal(qtxt), z2.ident)
         ok &= _expect(rec, "equal", want)
         records.append(rec)
     z1 = _entry("regular1", field, auditor)
     for t in (2, 3):
-        rec = _socle_record(z1.local, z1.local.ideal(f"X^{t}"), z1.ident)
+        rec = socle_record(z1.local, z1.local.ideal(f"X^{t}"), z1.ident)
         ok &= _expect(rec, "equal", False)
         records.append(rec)
     return _result("regular_spot", records, ok, notes)
@@ -275,7 +278,7 @@ def quadric_cone_cm(field: Field, seed: int, auditor=None) -> dict:
     rng = random.Random(seed)
     for _ in range(20):
         Q = sample_sop(loc, 1, rng, max_draws=60)
-        rec = _socle_record(loc, Q, z.ident)
+        rec = socle_record(loc, Q, z.ident)
         ok &= _expect(rec, "equal", True)
         records.append(rec)
     inv = invariance_probe(loc, samples=4, seed=seed)
@@ -421,7 +424,7 @@ def deep_parameter_stability(field: Field, seed: int, auditor=None) -> dict:
         indices = set()
         for _ in range(20):
             Q = sample_sop(loc, 3, rng, max_draws=60)
-            rec = _socle_record(loc, Q, ident)
+            rec = socle_record(loc, Q, ident)
             indices.add(rec["index"])
             ok &= _expect(rec, "equal", True)
             records.append(rec)
@@ -443,7 +446,7 @@ def powered_sop(field: Field, seed: int, auditor=None) -> dict:
         Q = sample_sop(loc, 1, rng, max_draws=60)
         for exps in ((2, 1), (1, 2), (2, 2)):
             gens = [g if n == 1 else g * g for g, n in zip(Q.gens, exps)]
-            rec = _socle_record(loc, loc.ideal(list(gens)), z.ident)
+            rec = socle_record(loc, loc.ideal(list(gens)), z.ident)
             rec["exps"] = list(exps)
             ok &= _expect(rec, "equal", True)
             records.append(rec)
@@ -453,7 +456,7 @@ def powered_sop(field: Field, seed: int, auditor=None) -> dict:
     for _ in range(3):
         Q = sample_sop(loc, 1, rng, max_draws=60)
         for n in (2, 3):
-            rec = _socle_record(loc, loc.ideal([Q.gens[0] ** n]), z.ident)
+            rec = socle_record(loc, loc.ideal([Q.gens[0] ** n]), z.ident)
             rec["exps"] = [n]
             ok &= _expect(rec, "equal", True)
             records.append(rec)
@@ -476,7 +479,7 @@ def max_index_socle(field: Field, seed: int, auditor=None) -> dict:
             if ident == "two_planes":
                 # push the parameters inside m^2 by squaring them
                 Q = loc.ideal([g * g for g in Q.gens])
-            rec = _socle_record(loc, Q, ident)
+            rec = socle_record(loc, Q, ident)
             I = loc.socle_of(Q)
             rec["q_inside_socle"] = loc.check_contained(Q, I).holds
             rec["h0_inside_socle"] = loc.check_contained(W, I).holds
@@ -534,7 +537,7 @@ def split_intersection(field: Field, seed: int, auditor=None) -> dict:
         rng = random.Random(seed)
         for _ in range(count):
             Q = sample_sop(loc, depth, rng, max_draws=60)
-            rec = _socle_record(loc, Q, ident)
+            rec = socle_record(loc, Q, ident)
             if rec["equal"]:
                 I = loc.socle_of(Q)
                 a1 = loc.ideal([Q.gens[0]])

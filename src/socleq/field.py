@@ -102,13 +102,7 @@ class Field:
             return 1 / a
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- display -------------------------------------------------------------
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def describe(self) -> str:
         return "qq" if self.kind == "QQ" else f"fp:{self.p}"

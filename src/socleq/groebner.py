@@ -66,42 +66,16 @@ class _Steps:
             )
 
 
-def _poly_to_dict(p: Polynomial) -> dict:
-    return dict(p.terms)
-
-
-def _dict_to_poly(ring: RingSpec, acc: dict) -> Polynomial:
-    return ring.from_terms(acc)
-
-
 class _Elt:
     """A monic basis element in working form."""
 
-    __slots__ = ("lead", "tail", "is_monomial", "rep", "cover")
+    __slots__ = ("lead", "tail", "is_monomial", "cover")
 
-    def __init__(self, lead: Monomial, tail: tuple, rep, cover: bool = False):
+    def __init__(self, lead: Monomial, tail: tuple, cover: bool = False):
         self.lead = lead
         self.tail = tail  # ((mono, coeff), ...) of the non-lead terms
         self.is_monomial = not tail
-        self.rep = rep  # {gen_index: {mono: coeff}} or None
         self.cover = cover  # degree-K monomial installed by a truncated run
-
-
-def _rep_submul(fld, acc_rep: dict, elt_rep: dict, c, u: Monomial) -> None:
-    """acc_rep -= c * x^u * elt_rep."""
-    for idx, poly in elt_rep.items():
-        tgt = acc_rep.setdefault(idx, {})
-        for m, pc in poly.items():
-            k = mono_mul(m, u)
-            s = fld.sub(tgt.get(k, fld.zero), fld.mul(c, pc))
-            if s:
-                tgt[k] = s
-            else:
-                tgt.pop(k, None)
-
-
-def _rep_scale(fld, rep: dict, c) -> dict:
-    return {idx: {m: fld.mul(c, pc) for m, pc in poly.items()} for idx, poly in rep.items()}
 
 
 class _OrderKeys(dict):
@@ -118,14 +92,13 @@ class _OrderKeys(dict):
 
 
 class _Engine:
-    def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps, trunc: int | None, track: bool):
+    def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps, trunc: int | None):
         self.ring = ring
         self.order = order
         self.weights = ring.weights
         self.keyf = _OrderKeys(order, ring.weights).__getitem__
         self.steps = steps
         self.trunc = trunc
-        self.track = track
         self.basis: list[_Elt] = []
         self.divs: list[_Elt] = []  # basis minus covers, the divisor scan list
         self.pairs: list = []  # heap of (wdeg(lcm), i, j, lcm)
@@ -133,7 +106,7 @@ class _Engine:
 
     # -- reduction -------------------------------------------------------------
 
-    def reduce_full(self, acc: dict, rep: dict | None):
+    def reduce_full(self, acc: dict) -> dict:
         """Fully reduce acc (a {mono: coeff} dict, consumed) modulo the basis."""
         fld = self.ring.field
         keyf, trunc, divs = self.keyf, self.trunc, self.divs
@@ -164,11 +137,7 @@ class _Engine:
                     acc[k] = s
                 else:
                     acc.pop(k, None)
-            if rep is not None and hit.rep is not None:
-                # invariant: value(acc) + value(out) == sum(rep_i * gen_i);
-                # the step removed c * x^u * hit from acc
-                _rep_submul(fld, rep, hit.rep, c, u)
-        return out, rep
+        return out
 
     # -- basis growth -----------------------------------------------------------
 
@@ -179,10 +148,10 @@ class _Engine:
         are other covers and those pairs are monomial-monomial (S identically
         zero); no pair bookkeeping is needed.
         """
-        self.basis.append(_Elt(mono, (), None, cover=True))
+        self.basis.append(_Elt(mono, (), cover=True))
 
-    def insert(self, acc: dict, rep: dict | None) -> None:
-        acc, rep = self.reduce_full(acc, rep)
+    def insert(self, acc: dict) -> None:
+        acc = self.reduce_full(acc)
         if not acc:
             return
         fld = self.ring.field
@@ -190,9 +159,7 @@ class _Engine:
         lc = acc.pop(lead)
         inv = fld.inv(lc)
         tail = tuple((m, fld.mul(inv, c)) for m, c in acc.items())
-        if rep is not None:
-            rep = _rep_scale(fld, rep, inv)
-        elt = _Elt(lead, tail, rep)
+        elt = _Elt(lead, tail)
         t = len(self.basis)
         self.basis.append(elt)
         self.divs.append(elt)
@@ -253,20 +220,14 @@ class _Engine:
                     acc[k] = s
                 else:
                     acc.pop(k, None)
-            rep = None
-            if self.track:
-                rep = {}
-                if gi.rep is not None:
-                    _rep_submul(fld, rep, gi.rep, fld.neg(fld.one), ui)
-                if gj.rep is not None:
-                    _rep_submul(fld, rep, gj.rep, fld.one, uj)
             self.certified.add((i, j))
-            self.insert(acc, rep)
+            self.insert(acc)
 
     # -- reduced basis ----------------------------------------------------------
 
     def reduced_basis(self):
-        """Interreduce to the unique reduced basis (monic, tails irreducible)."""
+        """Interreduce to the unique reduced basis (monic, tails irreducible),
+        as term lists ascending by lead."""
         keyf = self.keyf
         live = sorted(range(len(self.basis)), key=lambda i: keyf(self.basis[i].lead))
         kept: list[int] = []
@@ -279,16 +240,13 @@ class _Engine:
         for i in kept:
             elt = self.basis[i]
             others = [self.basis[k] for k in kept if k != i]
-            sub = _Engine(self.ring, self.order, self.steps, self.trunc, self.track)
+            sub = _Engine(self.ring, self.order, self.steps, self.trunc)
             sub.keyf = keyf
             sub.basis = others
             sub.divs = [e for e in others if not e.cover]
-            acc = dict(elt.tail)
-            red, rep = sub.reduce_full(acc, elt.rep)
-            terms = [(elt.lead, fld.one), *red.items()]
-            out.append((elt.lead, terms, rep))
-        out.sort(key=lambda t: keyf(t[0]))
-        return out
+            red = sub.reduce_full(dict(elt.tail))
+            out.append([(elt.lead, fld.one), *red.items()])
+        return out  # kept is ascending by lead already
 
 
 def buchberger(
@@ -296,22 +254,18 @@ def buchberger(
     order: MonomialOrder | None = None,
     limits: Limits = DEFAULT_LIMITS,
     trunc: int | None = None,
-    track: bool = False,
     ring: RingSpec | None = None,
-):
+) -> list:
     """Reduced Groebner basis of the given generators.
 
     Returns a list of Polynomials sorted ascending by lead monomial.  With
-    track=True each output also carries a cofactor certificate, and the pair
-    (basis, certificates) is returned instead.  With trunc=K the result is
-    the reduced basis of the ideal generated by gens plus the K-th power of
-    the ideal of all variables (gens may then be empty if ring is given).
+    trunc=K the result is the reduced basis of the ideal generated by gens
+    plus the K-th power of the ideal of all variables (gens may then be
+    empty if ring is given).
     """
     gens = [g for g in gens if g]
     if not gens and (trunc is None or ring is None):
         raise InputError("cannot compute a basis for the zero list of generators")
-    if track and trunc is not None:
-        raise InputError("cofactor tracking is not defined for truncated runs")
     if gens:
         ring = gens[0].ring
         for g in gens:
@@ -319,26 +273,17 @@ def buchberger(
                 raise RingMismatchError("generators from different rings")
     order = order or ring.default_order
     steps = _Steps(limits.step_budget)
-    eng = _Engine(ring, order, steps, trunc, track)
+    eng = _Engine(ring, order, steps, trunc)
     if trunc is not None:
         if trunc < 1:
             raise InputError("truncation degree must be at least 1")
         keyf = eng.keyf
         for mono in sorted(ring.monomials_of_plain_degree(trunc), key=keyf):
             eng.add_cover(mono)
-    for idx, g in enumerate(gens):
-        rep = {idx: {(0,) * ring.nvars: ring.field.one}} if track else None
-        eng.insert(_poly_to_dict(g), rep)
+    for g in gens:
+        eng.insert(dict(g.terms))
     eng.run()
-    rows = eng.reduced_basis()
-    basis = [ring.from_terms(terms) for _, terms, _ in rows]
-    if track:
-        certs = [
-            {idx: ring.from_terms(poly) for idx, poly in (rep or {}).items()}
-            for _, _, rep in rows
-        ]
-        return basis, certs
-    return basis
+    return [ring.from_terms(terms) for terms in eng.reduced_basis()]
 
 
 def normal_form(
@@ -352,7 +297,7 @@ def normal_form(
     ring = f.ring
     order = order or ring.default_order
     steps = _Steps(limits.step_budget)
-    eng = _Engine(ring, order, steps, trunc, False)
+    eng = _Engine(ring, order, steps, trunc)
     fld = ring.field
     for g in basis:
         if g.ring != ring:
@@ -360,11 +305,10 @@ def normal_form(
         lead, lc = g.lead(order)
         inv = fld.inv(lc)
         tail = tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)
-        elt = _Elt(lead, tail, None)
+        elt = _Elt(lead, tail)
         eng.basis.append(elt)
         eng.divs.append(elt)
-    red, _ = eng.reduce_full(_poly_to_dict(f), None)
-    return _dict_to_poly(ring, red)
+    return ring.from_terms(eng.reduce_full(dict(f.terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,31 +370,8 @@ class Ideal:
             return True
         return not self.normal_form(f, None, limits)
 
-    def contains_ideal(self, other: "Ideal", limits: Limits = DEFAULT_LIMITS) -> bool:
-        return all(self.contains(g, limits) for g in other.gens)
-
     def is_unit_ideal(self, limits: Limits = DEFAULT_LIMITS) -> bool:
         return self.contains(self.ring.one(), limits)
-
-    def certified_basis(self, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS):
-        """Reduced basis plus cofactor certificates; both directions verified.
-
-        Each basis element is returned with polynomials c_i such that it
-        equals sum(c_i * gens[i]), and every generator is checked to reduce
-        to zero against the basis.
-        """
-        order = order or self.ring.default_order
-        basis, certs = buchberger(self.gens, order, limits, track=True)
-        for b, cert in zip(basis, certs):
-            acc = self.ring.zero()
-            for idx, cof in cert.items():
-                acc = acc + cof * self.gens[idx]
-            if acc != b:
-                raise AssertionError("cofactor certificate failed to reproduce basis element")
-        for g in self.gens:
-            if normal_form(g, basis, order, limits):
-                raise AssertionError("generator does not reduce to zero against its own basis")
-        return tuple(basis), tuple(certs)
 
 
 def eliminate(ideal: Ideal, keep: Iterable[str], limits: Limits = DEFAULT_LIMITS) -> Ideal:

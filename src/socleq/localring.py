@@ -49,6 +49,7 @@ from .idealops import (
     saturate,
 )
 from .limits import DEFAULT_LIMITS, Limits
+from .oracle import Echelon
 from .ring import Polynomial, RingSpec
 
 
@@ -311,10 +312,6 @@ class LocalRing:
             "could not determine the dimension from the growth of d_K within budget"
         )
 
-    def hilbert_samuel(self, Kmax: int) -> list:
-        """d_K for K = 1..Kmax for the maximal ideal itself."""
-        return [self.quotient_dim_at(self.zero_ideal(), K) for K in range(1, Kmax + 1)]
-
     def multiplicity(self, Q: Ideal | None = None) -> int:
         """Samuel multiplicity e(Q) (Q defaults to the maximal ideal).
 
@@ -517,27 +514,8 @@ def _samuel_from_lengths(vals: list, d: int) -> int | None:
 def _rank_of_forms(polys, ring: RingSpec) -> int:
     """Exact rank of the span of the given polynomials, by sparse row
     echelon with the ring's default order choosing pivots."""
-    order = ring.default_order
-    weights = ring.weights
-    keyf = lambda m: order.key(m, weights)
-    fld = ring.field
-    pivots: dict = {}
-    rank = 0
+    order, weights = ring.default_order, ring.weights
+    ech = Echelon(ring.field, lambda m: order.key(m, weights))
     for p in polys:
-        row = {m: c for m, c in p.terms}
-        while row:
-            m = max(row, key=keyf)
-            hit = pivots.get(m)
-            if hit is None:
-                inv = fld.inv(row.pop(m))
-                pivots[m] = {k: fld.mul(inv, v) for k, v in row.items()}
-                rank += 1
-                break
-            c = row.pop(m)
-            for pm, pc in hit.items():
-                s = fld.sub(row.get(pm, fld.zero), fld.mul(c, pc))
-                if s:
-                    row[pm] = s
-                else:
-                    row.pop(pm, None)
-    return rank
+        ech.add(dict(p.terms))
+    return ech.rank

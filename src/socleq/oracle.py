@@ -195,7 +195,6 @@ class TruncatedAlgebra:
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         self.K = K
-        self.cap = cap
         self.ech = _echelon_of(ring, self.gens, K)
         key = _mono_key(ring)
         self.basis = tuple(
@@ -233,12 +232,6 @@ class TruncatedAlgebra:
                 else:
                     out.pop(mm, None)
         return self.nf_row(out)
-
-    def subspace_dim(self, extra_gens) -> int:
-        """Dimension of the image of (extra_gens) inside this algebra."""
-        sub = oracle_quotient_dim(self.ring, tuple(self.gens) + tuple(extra_gens),
-                                  self.K, cap=self.cap)
-        return self.dim - sub
 
     def colon_dim(self, j_gens, by_gens) -> int:
         """dim of {v : v * by_gens inside the image of j_gens}, inside here.

@@ -429,9 +429,6 @@ class Polynomial:
         degs = {self.ring.wdeg(m) for m, _ in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def max_plain_degree(self) -> int:
-        return max((plain_degree(m) for m, _ in self.terms), default=0)
-
     def min_plain_degree(self) -> int:
         return min((plain_degree(m) for m, _ in self.terms), default=0)
 
@@ -446,9 +443,3 @@ class Polynomial:
         """Drop all terms of total degree >= k."""
         kept = tuple((m, c) for m, c in self.terms if plain_degree(m) < k)
         return self if len(kept) == len(self.terms) else Polynomial(self.ring, kept)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def coeff_map(self) -> dict:
-        return dict(self.terms)

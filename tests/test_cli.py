@@ -8,6 +8,7 @@ import json
 import pytest
 
 from socleq.cli import main
+from socleq.experiments import socle_record
 from socleq.field import QQ
 from socleq.report import validate_report
 from socleq.zoo import build
@@ -71,6 +72,26 @@ def test_rednum_prints_the_value(capsys):
     code, out, _ = run(["rednum", "--ring", "zoo:semigroup3", "--q", "X1"], capsys)
     assert code == 0
     assert out.strip().endswith(": 2")
+
+
+def test_rednum_json_envelope(tmp_path, capsys):
+    dest = tmp_path / "rednum.json"
+    code, _, _ = run(["rednum", "--ring", "zoo:semigroup3", "--q", "X1",
+                      "--json", str(dest)], capsys)
+    assert code == 0
+    payload = json.loads(dest.read_text())
+    validate_report(payload)
+    assert payload["status"] == "pass"
+    assert payload["experiments"][0]["records"][0]["reduction_number"] == 2
+
+
+def test_check_json_record_is_the_suites_record(tmp_path, capsys):
+    dest = tmp_path / "out.json"
+    run(["check", "i2qi", "--ring", "zoo:almost_dvr", "--q", "Y^3",
+         "--json", str(dest)], capsys)
+    loc = build("almost_dvr", QQ).local
+    want = socle_record(loc, loc.ideal("Y^3"), "almost_dvr")
+    assert json.loads(dest.read_text())["experiments"][0]["records"] == [want]
 
 
 def test_invariants_json_envelope(tmp_path, capsys):

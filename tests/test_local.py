@@ -43,11 +43,11 @@ def buchberger_inputs(monkeypatch):
     seen = []
     real = socleq.groebner.buchberger
 
-    def counted(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, track=False, ring=None):
+    def counted(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, ring=None):
         gens = tuple(g for g in gens if g)
         ring = gens[0].ring if gens else ring
         seen.append((gens, order or ring.default_order, trunc))
-        return real(gens, order, limits, trunc, track, ring)
+        return real(gens, order, limits, trunc, ring)
 
     monkeypatch.setattr(socleq.groebner, "buchberger", counted)
     return seen
