@@ -23,7 +23,6 @@ from .limits import DEFAULT_LIMITS, Limits
 from .ring import GREVLEX, GRADEDLEX, LEX, Block, MonomialOrder, Polynomial, RingSpec, compare
 from .dsl import (
     RingFile,
-    display_normalize,
     format_poly,
     format_ring_file,
     parse_poly,
@@ -90,7 +89,6 @@ __all__ = [
     "RingSpec",
     "compare",
     "RingFile",
-    "display_normalize",
     "format_poly",
     "format_ring_file",
     "parse_poly",

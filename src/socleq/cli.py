@@ -32,26 +32,26 @@ from .zoo import build as zoo_build, idents as zoo_idents
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=None,
-                        help="coefficient field: qq or fp:<prime> "
-                             "(zoo rings and repro only; ring files carry their own)")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default=None,
+                       help="coefficient field: qq or fp:<prime> "
+                            "(zoo rings and repro only; ring files carry their own)")
+    common = argparse.ArgumentParser(add_help=False, parents=[field])
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     common.add_argument("--json", metavar="OUT", default=None,
                         help="also write a JSON record to this path")
-    common.add_argument("--cap", type=int, default=16,
-                        help="largest reduction number tried")
-    common.add_argument("--trunc-budget", type=int, default=None,
-                        help="override the truncation level budget")
-    common.add_argument("--step-budget", type=int, default=None,
-                        help="override the basis-computation step budget")
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--trunc-budget", type=int, default=None,
+                         help="override the truncation level budget")
+    budgets.add_argument("--step-budget", type=int, default=None,
+                         help="override the basis-computation step budget")
 
     p = argparse.ArgumentParser(prog="socleq", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"socleq {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", parents=[common],
+    c = sub.add_parser("check", parents=[common, budgets],
                        help="decide an equality on one ring")
     c.add_argument("what", choices=["i2qi"], help="which equality to decide")
     c.add_argument("--ring", required=True, help="ring file path or zoo:<ident>")
@@ -59,16 +59,18 @@ def _parser() -> argparse.ArgumentParser:
                    help="parameter ideal: comma-separated polynomials, or the "
                         "name of an ideal declared in the ring file")
 
-    r = sub.add_parser("rednum", parents=[common],
+    r = sub.add_parser("rednum", parents=[common, budgets],
                        help="reduction number of Q : m against Q")
     r.add_argument("--ring", required=True)
     r.add_argument("--q", required=True)
+    r.add_argument("--cap", type=int, default=16,
+                   help="largest reduction number tried")
 
-    i = sub.add_parser("invariants", parents=[common],
+    i = sub.add_parser("invariants", parents=[common, budgets],
                        help="basic invariants of one ring")
     i.add_argument("--ring", required=True)
 
-    z = sub.add_parser("zoo", parents=[common], help="built-in rings")
+    z = sub.add_parser("zoo", parents=[field], help="built-in rings")
     z.add_argument("action", choices=["list", "build"])
     z.add_argument("ident", nargs="?", default=None)
 

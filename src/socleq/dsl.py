@@ -138,15 +138,7 @@ def parse_poly(text: str, ring: RingSpec) -> Polynomial:
 
 def parse_poly_list(text: str, ring: RingSpec) -> tuple:
     """Comma-separated polynomials (the CLI --q payload)."""
-    parts = text.split(",")
-    out = []
-    offset = 0
-    for part in parts:
-        if not part.strip():
-            raise ParseError("empty polynomial in list", text, offset)
-        out.append(_PolyParser(part, ring, base=offset, full_text=text).parse())
-        offset += len(part) + 1
-    return tuple(out)
+    return tuple(_parse_list_at(text, ring, 0, text))
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +188,6 @@ def format_poly(p: Polynomial) -> str:
         else:
             pieces.append(f" {sign} {body}")
     return "".join(pieces)
-
-
-def display_normalize(p: Polynomial) -> Polynomial:
-    """Sign-normalize for reports: lead coefficient 1 over F_p, positive over QQ."""
-    if not p.terms:
-        return p
-    fld = p.ring.field
-    if fld.kind == "QQ":
-        _, c = p.lead()
-        return -p if c < 0 else p
-    return p.monic()
 
 
 # ---------------------------------------------------------------------------

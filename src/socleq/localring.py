@@ -368,23 +368,6 @@ class LocalRing:
         li = self.require_length(self.socle_of(Q), "quotient by the socle enlargement").value
         return lq - li
 
-    def min_gens(self, J: Ideal) -> int:
-        """Minimal number of generators of JA (Nakayama: dim_k J/mJ)."""
-        if not J.gens:
-            return 0
-        mJ = ideal_product(self.maximal(), J)
-        stable = self.length_of_quotient(J)
-        if stable is not None:
-            top = self.require_length(mJ, "quotient by m*J").value
-            return top - stable.value
-        if self._is_graded_ideal(mJ):
-            basis = self.full(mJ).groebner_basis(None, self.limits)
-            forms = [normal_form(g, basis, None, self.limits) for g in J.gens]
-            return _rank_of_forms(forms, self.ring)
-        raise UndecidableError(
-            "minimal generator count needs a finite-colength or graded ideal"
-        )
-
     def h0(self):
         """(W, length, saturation exponent) for W = the S-level representative
         of the 0-th local cohomology H^0_m(A) = (0 :_A m^infinity)."""

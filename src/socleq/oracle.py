@@ -22,6 +22,7 @@ all reduce to ranks of such row families.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import BudgetExceededError
@@ -116,31 +117,15 @@ def _spanning_rows(gens, K: int):
                     yield row
 
 
-def _echelon_of(ring: RingSpec, gens, K: int) -> Echelon:
-    ech = Echelon(ring.field, _mono_key(ring))
-    for row in _spanning_rows(gens, K):
-        ech.add(row)
-    return ech
-
-
 def oracle_quotient_dim(ring: RingSpec, gens, K: int, cap: int = DEFAULT_DIM_CAP) -> int:
     """dim_k S/(gens + m^K), by counting monomials minus the row rank."""
-    total = _dim_below(ring, K)
-    if total > cap:
-        raise BudgetExceededError(
-            f"truncated slice has dimension {total}, above the cap of {cap}"
-        )
-    return total - _echelon_of(ring, gens, K).rank
+    return TruncatedAlgebra(ring, gens, K, cap=cap).dim
 
 
 def oracle_member(ring: RingSpec, gens, f: Polynomial, K: int,
                   cap: int = DEFAULT_DIM_CAP) -> bool:
     """Is f in (gens) + m^K?  Exact for every K."""
-    if _dim_below(ring, K) > cap:
-        raise BudgetExceededError(
-            f"truncated slice has dimension {_dim_below(ring, K)}, above the cap of {cap}"
-        )
-    return _echelon_of(ring, gens, K).contains(truncate_poly(f, K))
+    return TruncatedAlgebra(ring, gens, K, cap=cap).contains(f)
 
 
 def graded_member_level(f: Polynomial) -> int:
@@ -181,8 +166,10 @@ def oracle_member_graded(ring: RingSpec, gens, f: Polynomial,
 class TruncatedAlgebra:
     """The finite dimensional algebra S/(gens + m^K), as echelon data.
 
-    Carries a monomial basis (the non-pivot monomials below degree K) and
-    a normal form map; products of basis classes are formed by multiplying
+    The only place that builds a slice: it checks the dimension cap and
+    row-reduces the spanning rows.  Carries a monomial basis (the
+    non-pivot monomials below degree K, enumerated on first use) and a
+    normal form map; products of basis classes are formed by multiplying
     representatives, truncating, and reducing.
     """
 
@@ -193,26 +180,22 @@ class TruncatedAlgebra:
                 f"truncated slice has dimension {total}, above the cap of {cap}"
             )
         self.ring = ring
-        self.gens = tuple(g for g in gens if g)
         self.K = K
-        self.ech = _echelon_of(ring, self.gens, K)
-        key = _mono_key(ring)
-        self.basis = tuple(
-            m for m in ring.monomials_below_plain_degree(K)
+        self.ech = Echelon(ring.field, _mono_key(ring))
+        for row in _spanning_rows(gens, K):
+            self.ech.add(row)
+        self.dim = total - self.ech.rank
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        return tuple(
+            m for m in self.ring.monomials_below_plain_degree(self.K)
             if m not in self.ech.pivots
         )
-        self.keyfn = key
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def nf(self, f: Polynomial) -> dict:
         """Normal form of f: a row supported on basis monomials only."""
         return self.ech.reduce(truncate_poly(f, self.K))
-
-    def nf_row(self, row: dict) -> dict:
-        return self.ech.reduce(row)
 
     def contains(self, f: Polynomial) -> bool:
         return not self.nf(f)
@@ -231,40 +214,27 @@ class TruncatedAlgebra:
                     out[mm] = b
                 else:
                     out.pop(mm, None)
-        return self.nf_row(out)
+        return self.ech.reduce(out)
 
-    def colon_dim(self, j_gens, by_gens) -> int:
-        """dim of {v : v * by_gens inside the image of j_gens}, inside here.
+    def socle_dim(self) -> int:
+        """Kernel dimension of multiplication by the variables.
 
-        Computed as the kernel dimension of the stacked multiplication maps
-        v -> v*b mod (j_gens), over the generators b.  Note this annihilator
-        is a statement about the truncated algebra itself; relating it to
-        the untruncated ring needs a stabilisation argument on the caller's
-        side (see stable_socle_dim).
+        Computed as the kernel dimension of the stacked maps v -> v*x_i.
+        This annihilator is a statement about the truncated algebra itself;
+        relating it to the untruncated ring needs a stabilisation argument
+        on the caller's side (see stable_socle_dim).
         """
         fld = self.ring.field
-        j_ech = Echelon(fld, self.keyfn)
-        for row in _spanning_rows(tuple(j_gens), self.K):
-            j_ech.add(self.nf_row(row))
-        by = [b for b in by_gens if b]
-        keyfn = self.keyfn
-
-        def stacked_key(label):
-            return (label[0], keyfn(label[1]))
-
-        maps = Echelon(fld, stacked_key)
+        keyfn = self.ech.keyfn
+        xs = self.ring.gens()
+        maps = Echelon(fld, lambda label: (label[0], keyfn(label[1])))
         for mu in self.basis:
             stacked: dict = {}
-            for i, b in enumerate(by):
-                img = j_ech.reduce(self.multiply_row({mu: fld.one}, b))
-                for m, c in img.items():
+            for i, x in enumerate(xs):
+                for m, c in self.multiply_row({mu: fld.one}, x).items():
                     stacked[(i, m)] = c
             maps.add(stacked)
         return self.dim - maps.rank
-
-    def socle_dim(self) -> int:
-        """Kernel dimension of multiplication by the variables."""
-        return self.colon_dim((), self.ring.gens())
 
 
 def stable_socle_dim(ring: RingSpec, gens, budget: int,
@@ -306,6 +276,8 @@ class OracleAuditor:
         self.checked = 0
         self.skipped = 0
         self.mismatches: list = []
+        self._key = None
+        self._alg = None
 
     def summary(self) -> dict:
         return {
@@ -315,35 +287,37 @@ class OracleAuditor:
         }
 
     def __call__(self, event: dict) -> None:
-        kind = event.get("kind")
-        if kind == "quotient_dim":
-            self._audit_quotient_dim(event)
-        elif kind == "membership":
-            self._audit_membership(event)
-
-    def _audit_quotient_dim(self, event: dict) -> None:
         ring, gens, K = event["ring"], event["gens"], event["K"]
-        if _dim_below(ring, K) > self.dim_cap:
-            self.skipped += 1
-            return
-        got = oracle_quotient_dim(ring, gens, K, cap=self.dim_cap)
-        self.checked += 1
-        if got != event["dim"]:
-            self.mismatches.append({**event, "oracle": got})
-
-    def _audit_membership(self, event: dict) -> None:
-        ring, gens, f, K = event["ring"], event["gens"], event["f"], event["K"]
-        if K is None:
+        membership = event["kind"] == "membership"
+        if membership and K is None:
             # graded route: auditable only when the generators are visibly
             # homogeneous, since that is what justifies the finite cutoff
             if any(g and g.weighted_degree() is None for g in gens):
                 self.skipped += 1
                 return
-            K = graded_member_level(f)
-        if _dim_below(ring, K) > self.dim_cap:
+            K = graded_member_level(event["f"])
+        try:
+            alg = self._slice(ring, gens, K)
+        except BudgetExceededError:
             self.skipped += 1
             return
-        got = oracle_member(ring, gens, f, K, cap=self.dim_cap)
+        if membership:
+            got, want = alg.contains(event["f"]), event["member"]
+        else:
+            got, want = alg.dim, event["dim"]
         self.checked += 1
-        if got != event["member"]:
+        if got != want:
             self.mismatches.append({**event, "oracle": got})
+
+    def _slice(self, ring: RingSpec, gens, K: int) -> TruncatedAlgebra:
+        """The slice of (gens, K), reusing the previous event's when it matches.
+
+        Only one slice is kept: the old one is dropped before a new one is
+        built, so at most one is alive at a time.
+        """
+        key = (ring, gens, K)
+        if self._key != key:
+            self._key = self._alg = None
+            self._alg = TruncatedAlgebra(ring, gens, K, cap=self.dim_cap)
+            self._key = key
+        return self._alg

@@ -415,13 +415,6 @@ class Polynomial:
         w = self.ring.weights
         return max(self.terms, key=lambda t: order.key(t[0], w))
 
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
-        _, c = self.lead(order)
-        fld = self.ring.field
-        if c == fld.one:
-            return self
-        return self.scale(fld.inv(c))
-
     def weighted_degree(self) -> int | None:
         """Common weighted degree, or None when not weighted-homogeneous."""
         if not self.terms:
@@ -438,8 +431,3 @@ class Polynomial:
             if m == zero_mono:
                 return c
         return self.ring.field.zero
-
-    def truncate_plain_degree(self, k: int) -> "Polynomial":
-        """Drop all terms of total degree >= k."""
-        kept = tuple((m, c) for m, c in self.terms if plain_degree(m) < k)
-        return self if len(kept) == len(self.terms) else Polynomial(self.ring, kept)

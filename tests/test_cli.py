@@ -112,6 +112,9 @@ def test_zoo_list_names_every_ring(capsys):
     assert code == 0
     for ident in ("almost_dvr", "semigroup3", "two_planes", "regular1"):
         assert ident in out
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "list", "--cap", "3"])
+    assert exc.value.code == 2
 
 
 def test_zoo_build_round_trips_through_check(tmp_path, capsys):
@@ -163,6 +166,9 @@ def test_repro_only_reports_and_validates(tmp_path, capsys):
     validate_report(payload)
     assert payload["field"] == "fp:32003"
     assert [e["name"] for e in payload["experiments"]] == ["almost_dvr_criterion"]
+    with pytest.raises(SystemExit) as exc:
+        main(["repro", "--step-budget", "5"])
+    assert exc.value.code == 2
 
 
 def test_verify_split_small_run(tmp_path, capsys):

@@ -7,7 +7,6 @@ from socleq import (
     QQ,
     ParseError,
     RingSpec,
-    display_normalize,
     format_poly,
     format_ring_file,
     parse_poly,
@@ -47,8 +46,15 @@ def test_parse_errors_carry_positions(rxyz):
 def test_poly_list(rxyz):
     polys = parse_poly_list("X - Y, Y^2 - Z^2", rxyz)
     assert len(polys) == 2
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_poly_list("X,,Y", rxyz)
+    assert (err.value.line, err.value.column) == (1, 3)
+    with pytest.raises(ParseError) as err:
+        parse_poly_list("X, Y + W", rxyz)
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(ParseError) as err:
+        parse_ring_file("vars X Y Z\nquotient X, Y + W\n")
+    assert (err.value.line, err.value.column) == (2, 17)
 
 
 def test_print_parse_round_trip(rxyz):
@@ -67,15 +73,6 @@ def test_fp_balanced_printing():
     p = parse_poly("X - Y", r)
     assert format_poly(p) == "X - Y"
     assert parse_poly(format_poly(p), r) == p
-
-
-def test_display_normalize_sign(rxyz):
-    p = parse_poly("-X^2 + Y", rxyz)
-    assert format_poly(display_normalize(p)) == "X^2 - Y"
-    r = RingSpec(FP(7), ["X"])
-    q = parse_poly("3*X + 1", r)
-    n = display_normalize(q)
-    assert n.lead()[1] == 1
 
 
 RING_FILE = """\

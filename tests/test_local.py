@@ -1,7 +1,7 @@
 import pytest
 
 import socleq.groebner
-from socleq import QQ, Ideal, RingSpec, parse_poly, parse_poly_list
+from socleq import QQ, RingSpec, parse_poly, parse_poly_list
 from socleq.errors import InputError
 from socleq.idealops import ideal_power, ideal_product
 from socleq.limits import DEFAULT_LIMITS
@@ -98,14 +98,6 @@ def test_socle_and_reducibility(almost_dvr, triple_line):
     assert almost_dvr.check_equal(I, almost_dvr.maximal()).equal is True
     assert almost_dvr.index_of_reducibility(Q) == 1
     assert triple_line.index_of_reducibility(triple_line.ideal("Z")) == 2
-
-
-def test_min_gens(regular2, almost_dvr):
-    r3 = RingSpec(QQ, ["X", "Y", "Z"])
-    A = LocalRing(r3, [])
-    J = Ideal(r3, parse_poly_list("X^3, Y^2, Z^2, X*Y, Y*Z, Z*X", r3))
-    assert A.min_gens(J) == 6
-    assert almost_dvr.min_gens(almost_dvr.maximal()) == 2
 
 
 def test_socle_square_equal_flat_parameter(almost_dvr):

@@ -69,6 +69,7 @@ def test_truncated_algebra_small_quotient():
     r = ring2()
     alg = TruncatedAlgebra(r, polys("X^2, X*Y", r), K=4)
     assert alg.dim == 5
+    assert alg.dim == len(alg.basis)
     # surviving classes: 1, x, y, y^2, y^3
     assert set(alg.basis) == {(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)}
     assert alg.contains(parse_poly("X^2 + 3*X*Y", r))
@@ -92,6 +93,8 @@ def test_dimension_cap_is_enforced():
     r = ring2()
     with pytest.raises(BudgetExceededError):
         oracle_quotient_dim(r, polys("X^2", r), K=200, cap=100)
+    with pytest.raises(BudgetExceededError):
+        oracle_member(r, polys("X^2", r), parse_poly("X", r), K=200, cap=100)
 
 
 # -- agreement with the basis engine ------------------------------------------
@@ -198,7 +201,15 @@ def test_stable_socle_needs_finite_colength():
 # -- the audit hook -------------------------------------------------------------
 
 
-def test_auditor_agrees_with_full_socle_check():
+def test_auditor_agrees_with_full_socle_check(monkeypatch):
+    builds = []
+
+    class Counted(TruncatedAlgebra):
+        def __init__(self, *args, **kwargs):
+            builds.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("socleq.oracle.TruncatedAlgebra", Counted)
     r = ring2()
     local = LocalRing(r, polys("X^2, X*Y", r))
     audit = OracleAuditor(dim_cap=2000)
@@ -206,6 +217,8 @@ def test_auditor_agrees_with_full_socle_check():
     report = check_socle_square(local, local.ideal("Y^3"))
     assert report.equal is False
     assert audit.checked > 0
+    # consecutive events on the same (gens, K) share one slice
+    assert 0 < len(builds) < audit.checked
     assert audit.mismatches == []
 
 

@@ -126,13 +126,6 @@ def test_monomials_of_plain_degree():
     assert len(below) == 1 + 3 + 6
 
 
-def test_truncate_plain_degree(rxy):
-    p = parse_poly("X^3 + X*Y + 1", rxy)
-    assert p.truncate_plain_degree(3) == parse_poly("X*Y + 1", rxy)
-    assert p.truncate_plain_degree(1) == parse_poly("1", rxy)
-    assert not p.truncate_plain_degree(0)
-
-
 def test_constant_and_power_edge_cases(rxy):
     p = parse_poly("X + 1", rxy)
     assert p ** 0 == rxy.one()
