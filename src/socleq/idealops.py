@@ -5,7 +5,8 @@ local layer builds on these by always carrying the defining ideal along.
 Intersections use the classic single-auxiliary-variable elimination, colons
 use intersect-then-divide with verified exact division, and saturation
 iterates the colon until it stabilises, reporting the exponent at which it
-did.
+did.  A caller that takes many colons of related ideals may pass a colon a
+dict of its own as an intersection memo; nothing here keeps one.
 """
 
 from __future__ import annotations
@@ -138,8 +139,28 @@ def exact_div(h: Polynomial, f: Polynomial, order: MonomialOrder | None = None) 
     return ring.from_terms(quot)
 
 
-def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> Ideal:
-    """(I : f) = {g : g*f in I}, via (I cap (f)) / f."""
+def _meet(I: Ideal, J: Ideal, limits: Limits, memo: dict | None) -> Ideal:
+    """intersect(I, J), looked up first in memo by generator tuples.
+
+    The memo belongs to one caller and must only see ideals of one ring
+    under one set of limits.
+    """
+    if memo is None:
+        return intersect(I, J, limits)
+    key = (I.gens, J.gens)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = intersect(I, J, limits)
+    return out
+
+
+def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
+                  memo: dict | None = None) -> Ideal:
+    """(I : f) = {g : g*f in I}, via (I cap (f)) / f.
+
+    memo, when given, maps (I.gens, J.gens) to intersect(I, J) and is
+    read and filled instead of intersecting again.
+    """
     ring = I.ring
     if f.ring != ring:
         raise RingMismatchError("polynomial from a different ring")
@@ -147,18 +168,22 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> I
         return Ideal(ring, [ring.one()])
     if I.is_zero:
         return Ideal(ring, [])
-    meet = intersect(I, Ideal(ring, [f]), limits)
+    meet = _meet(I, Ideal(ring, [f]), limits, memo)
     return Ideal(ring, [exact_div(g, f) for g in meet.gens])
 
 
-def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
-    """(I : J) = intersection of (I : g) over the generators g of J."""
+def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS,
+          memo: dict | None = None) -> Ideal:
+    """(I : J) = intersection of (I : g) over the generators g of J.
+
+    memo is the intersection memo of `colon_by_poly`.
+    """
     ring = _same_ring(I, J)
     if J.is_zero:
         return Ideal(ring, [ring.one()])
-    out = colon_by_poly(I, J.gens[0], limits)
+    out = colon_by_poly(I, J.gens[0], limits, memo)
     for g in J.gens[1:]:
-        out = intersect(out, colon_by_poly(I, g, limits), limits)
+        out = _meet(out, colon_by_poly(I, g, limits, memo), limits, memo)
     return out
 
 

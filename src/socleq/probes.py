@@ -13,8 +13,12 @@ Three families live here:
   commutative ring.  Working in R = S/a with ideals represented by their
   a-containing preimages makes the verification exact: colons, sums and
   products of such preimages compute the corresponding R-ideals on the
-  nose, no truncation involved.  Hypotheses are checked first and
-  instances that fail them are reported as skipped, never as violations.
+  nose, no truncation involved.  A colon X : M of a preimage X is taken
+  by M itself, not by its preimage a + M: X contains a, so X : a = S and
+  X : (a + M) = (X : a) cap (X : M) = X : M exactly.  Hypotheses are
+  checked first and instances that fail them are reported as skipped,
+  never as violations.  Each verifier call shares one intersection memo
+  among its colons and drops it when it returns.
 
 * seeded sampling probes (type estimate, weak-sequence scan, invariance
   of length minus multiplicity, greedy depth).  These report what the
@@ -69,18 +73,22 @@ def _require_in_m(seq):
 # -- sequence conditions ---------------------------------------------------------
 
 
-def is_d_sequence(local: LocalRing, seq) -> ProbeVerdict:
+def is_d_sequence(local: LocalRing, seq, memo: dict | None = None) -> ProbeVerdict:
     """Does (x_1..x_{i-1}) : x_i = (x_1..x_{i-1}) : x_i x_j hold in A for
-    all 1 <= i <= j <= s?"""
+    all 1 <= i <= j <= s?
+
+    memo, when given, is the intersection memo of the colons (see
+    `idealops.colon_by_poly`), shared by a caller that checks several
+    sequences over one ring."""
     seq = list(seq)
     _require_in_m(seq)
     details = []
     worst = "s-level"
     for i in range(1, len(seq) + 1):
         base = local.full(Ideal(local.ring, seq[: i - 1]))
-        rhs = colon_by_poly(base, seq[i - 1], local.limits)
+        rhs = colon_by_poly(base, seq[i - 1], local.limits, memo)
         for j in range(i, len(seq) + 1):
-            lhs = colon_by_poly(base, seq[i - 1] * seq[j - 1], local.limits)
+            lhs = colon_by_poly(base, seq[i - 1] * seq[j - 1], local.limits, memo)
             equal, certified, method = _local_equal(local, lhs, rhs)
             details.append((i, j, equal, method))
             if method != "s-level":
@@ -94,17 +102,20 @@ def is_d_sequence(local: LocalRing, seq) -> ProbeVerdict:
     return ProbeVerdict(True, True, worst, tuple(details))
 
 
-def is_strong_d_sequence(local: LocalRing, seq, exp_bound: int) -> ProbeVerdict:
+def is_strong_d_sequence(local: LocalRing, seq, exp_bound: int,
+                         memo: dict | None = None) -> ProbeVerdict:
     """Bounded form of the powered condition: checks that every tuple of
     powers in [1, exp_bound]^s is a d-sequence.  The unbounded statement
     quantifies over all exponents; the verdict only vouches for the box
-    it actually visited."""
+    it actually visited.  One intersection memo (memo, or a fresh one)
+    serves every tuple, which repeat each other's colons."""
     seq = list(seq)
     if exp_bound < 1:
         raise InputError("exponent bound must be at least 1")
+    memo = {} if memo is None else memo
     details = []
     for exps in itertools.product(range(1, exp_bound + 1), repeat=len(seq)):
-        got = is_d_sequence(local, [x ** n for x, n in zip(seq, exps)])
+        got = is_d_sequence(local, [x ** n for x, n in zip(seq, exps)], memo)
         details.append((exps, got.holds, got.method))
         if got.holds is not True:
             return ProbeVerdict(got.holds, got.certified, got.method,
@@ -158,20 +169,23 @@ def lemma_colon_split(local: LocalRing, L: Ideal, x: Polynomial, W: Ideal,
 
     The law holds in every commutative ring, so a genuine violation in
     R = S/a would be an engine bug; that is exactly what this verifier
-    hunts for.
+    hunts for.  Every numerator here (a + L + (x^n) + W, a + L + W,
+    a + L + (x^n), a + L) contains a, so dividing it by M gives its colon
+    by a + M exactly, with no elimination spent on the generators of a.
     """
     if n < 2:
         return _skipped("exponent below 2")
     if not x or x.constant_term():
         return _skipped("x must be a nonzero non-unit")
-    Lf, Wf, Mf = local.full(L), local.full(W), local.full(M)
+    Lf, Wf = local.full(L), local.full(W)
+    memo: dict = {}
 
     inM = local.check_contained(Ideal(local.ring, [x]), M)
     if inM.holds is not True:
         return _skipped("x not certified to lie in M")
 
-    lx = colon_by_poly(Lf, x, local.limits)
-    lx2 = colon_by_poly(Lf, x * x, local.limits)
+    lx = colon_by_poly(Lf, x, local.limits, memo)
+    lx2 = colon_by_poly(Lf, x * x, local.limits, memo)
     eq, _, _ = _local_equal(local, lx2, lx)
     if eq is not True:
         return _skipped("L : x^2 = L : x failed or undecided")
@@ -182,16 +196,16 @@ def lemma_colon_split(local: LocalRing, L: Ideal, x: Polynomial, W: Ideal,
         return _skipped("x*W = 0 failed or undecided")
 
     xn = Ideal(local.ring, [x ** n])
-    lhs = colon(ideal_sum(ideal_sum(Lf, xn), Wf), Mf, local.limits)
-    part1 = colon(ideal_sum(Lf, Wf), Mf, local.limits)
-    part2 = colon(ideal_sum(Lf, xn), Mf, local.limits)
+    lhs = colon(ideal_sum(ideal_sum(Lf, xn), Wf), M, local.limits, memo)
+    part1 = colon(ideal_sum(Lf, Wf), M, local.limits, memo)
+    part2 = colon(ideal_sum(Lf, xn), M, local.limits, memo)
     eq1, cert1, method1 = _local_equal(local, lhs, ideal_sum(part1, part2))
     details = [("split", eq1, method1)]
     if eq1 is not True:
         return ProbeVerdict(eq1, cert1, method1, tuple(details),
                             witness="split identity failed")
 
-    lm = colon(Lf, Mf, local.limits)
+    lm = colon(Lf, M, local.limits, memo)
     sharp_applies, _, _ = _local_equal(local, lx, lm)
     if sharp_applies is True:
         eq2, cert2, method2 = _local_equal(local, lhs, part2)
@@ -211,6 +225,9 @@ def powered_colon_split(local: LocalRing, seq, exps, M: Ideal | None = None) -> 
 
         ((x_1^{n_1}, .., x_s^{n_s}) + W) : M
             =  W + ((x_1^{n_1}, .., x_s^{n_s}) : M).
+
+    Both numerators, a + P + W and a + P with P the powered ideal,
+    contain a, so dividing them by M gives their colons by a + M exactly.
     """
     seq, exps = list(seq), list(exps)
     if len(seq) != len(exps):
@@ -223,16 +240,16 @@ def powered_colon_split(local: LocalRing, seq, exps, M: Ideal | None = None) -> 
     contained = local.check_contained(Q, M)
     if contained.holds is not True:
         return _skipped("Q not certified to lie in M")
-    pre = is_strong_d_sequence(local, seq, exp_bound=max(exps))
+    memo: dict = {}
+    pre = is_strong_d_sequence(local, seq, exp_bound=max(exps), memo=memo)
     if pre.holds is not True:
         return _skipped("sequence is not a strong d-sequence on the tested box")
 
-    W = colon(local.full(local.zero_ideal()), Q, local.limits)
+    W = colon(local.full(local.zero_ideal()), Q, local.limits, memo)
     powered = Ideal(local.ring, [x ** n for x, n in zip(seq, exps)])
     Pf = local.full(powered)
-    Mf = local.full(M)
-    lhs = colon(ideal_sum(Pf, W), Mf, local.limits)
-    rhs = ideal_sum(W, colon(Pf, Mf, local.limits))
+    lhs = colon(ideal_sum(Pf, W), M, local.limits, memo)
+    rhs = ideal_sum(W, colon(Pf, M, local.limits, memo))
     eq, certified, method = _local_equal(local, lhs, rhs)
     return ProbeVerdict(eq, certified, method, ((tuple(exps), eq, method),),
                         witness=None if eq is True else "powered split failed")

@@ -1,7 +1,10 @@
 import pytest
 
-from socleq import QQ, RingSpec, parse_poly, parse_poly_list
+import socleq.idealops
+from socleq import FP, QQ, Ideal, RingSpec, parse_poly, parse_poly_list
 from socleq.errors import InputError
+from socleq.idealops import colon, equal_as_s_ideals
+from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing
 from socleq.probes import (
     buchsbaum_probe,
@@ -16,6 +19,7 @@ from socleq.probes import (
     powered_colon_split,
     sample_element,
 )
+from socleq.zoo import build
 
 
 def make(varnames, defining):
@@ -195,3 +199,47 @@ def test_depth_probe_values(cp, cone):
     assert depth_probe(make(["X", "Y", "Z", "W"], "X*Z, X*W, Y*Z, Y*W")) == 1
     assert depth_probe(make(["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z")) == 0
     assert depth_probe(cp) == 0
+
+
+# -- colons of a-containing ideals, and the intersection memo ----------------------
+
+
+@pytest.fixture
+def intersect_calls(monkeypatch):
+    calls = []
+    real = socleq.idealops.intersect
+
+    def counted(I, J, limits=DEFAULT_LIMITS):
+        calls.append((I.gens, J.gens))
+        return real(I, J, limits)
+
+    monkeypatch.setattr(socleq.idealops, "intersect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ident", ["semigroup3", "triple_line"])
+def test_colon_of_a_containing_ideal_by_m_ignores_a(ident):
+    # the verifiers divide a-containing numerators by M, not by a + M
+    local = build(ident, FP(32003)).local
+    x0, x1 = local.ring.gens()[:2]
+    M = local.maximal()
+    for X in (local.full(local.zero_ideal()), local.full(Ideal(local.ring, [x0 ** 2, x1]))):
+        assert equal_as_s_ideals(colon(X, local.full(M), local.limits),
+                                 colon(X, M, local.limits), local.limits)
+
+
+def test_powered_split_reuses_intersections(regular2, intersect_calls):
+    got = powered_colon_split(regular2, [p(regular2, "X"), p(regular2, "Y")], [2, 2])
+    assert (got.holds, got.certified, got.method) == (True, True, "s-level")
+    assert got.details == (((2, 2), True, "s-level"),)
+    assert len(intersect_calls) <= 10
+
+
+def test_colon_memo_hit_skips_intersect(cp, intersect_calls):
+    I, m = cp.full(cp.ideal("Y^3")), cp.maximal()
+    plain = colon(I, m, cp.limits)
+    memo = {}
+    assert colon(I, m, cp.limits, memo).gens == plain.gens
+    before = len(intersect_calls)
+    assert colon(I, m, cp.limits, memo).gens == plain.gens
+    assert len(intersect_calls) == before
