@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import FP, QQ, Field, parse_field
 from .limits import DEFAULT_LIMITS, Limits
-from .ring import GREVLEX, GRADEDLEX, LEX, Block, MonomialOrder, Polynomial, RingSpec, compare
+from .ring import GREVLEX, Block, MonomialOrder, Polynomial, RingSpec
 from .dsl import (
     RingFile,
     format_poly,
@@ -81,13 +81,10 @@ __all__ = [
     "DEFAULT_LIMITS",
     "Limits",
     "GREVLEX",
-    "GRADEDLEX",
-    "LEX",
     "Block",
     "MonomialOrder",
     "Polynomial",
     "RingSpec",
-    "compare",
     "RingFile",
     "format_poly",
     "format_ring_file",

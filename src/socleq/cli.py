@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -87,8 +88,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _limits(args):
-    return DEFAULT_LIMITS.with_overrides(step_budget=args.step_budget,
-                                         trunc_k_budget=args.trunc_budget)
+    given = {"step_budget": args.step_budget, "trunc_k_budget": args.trunc_budget}
+    return replace(DEFAULT_LIMITS, **{k: v for k, v in given.items() if v is not None})
 
 
 def _field(args, default: Field = QQ) -> Field:

@@ -74,13 +74,6 @@ class Field:
             return Fraction(n)
         return n % self.p
 
-    def from_fraction(self, num: int, den: int):
-        if den == 0:
-            raise InputError("denominator must be nonzero")
-        if self.kind == "QQ":
-            return Fraction(num, den)
-        return num * pow(den % self.p, self.p - 2, self.p) % self.p
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):

@@ -289,20 +289,19 @@ def buchberger(
 def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
     limits: Limits = DEFAULT_LIMITS,
     trunc: int | None = None,
 ) -> Polynomial:
-    """Remainder of f on full division by the (Groebner) basis."""
+    """Remainder of f on full division by the (Groebner) basis, under the
+    ring's default order."""
     ring = f.ring
-    order = order or ring.default_order
     steps = _Steps(limits.step_budget)
-    eng = _Engine(ring, order, steps, trunc)
+    eng = _Engine(ring, ring.default_order, steps, trunc)
     fld = ring.field
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("basis element from a different ring")
-        lead, lc = g.lead(order)
+        lead, lc = g.lead()
         inv = fld.inv(lc)
         tail = tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)
         elt = _Elt(lead, tail)
@@ -359,16 +358,16 @@ class Ideal:
             basis = tuple(buchberger(self.gens, key[0], limits, trunc=trunc, ring=self.ring))
         return self._cache.setdefault(key, basis)
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS) -> Polynomial:
-        basis = self.groebner_basis(order, limits)
+    def normal_form(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> Polynomial:
+        basis = self.groebner_basis(None, limits)
         if not basis:
             return f
-        return normal_form(f, basis, order or self.ring.default_order, limits)
+        return normal_form(f, basis, limits)
 
     def contains(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> bool:
         if not f:
             return True
-        return not self.normal_form(f, None, limits)
+        return not self.normal_form(f, limits)
 
     def is_unit_ideal(self, limits: Limits = DEFAULT_LIMITS) -> bool:
         return self.contains(self.ring.one(), limits)
@@ -395,8 +394,8 @@ def eliminate(ideal: Ideal, keep: Iterable[str], limits: Limits = DEFAULT_LIMITS
 # combinatorics on lead-term ideals
 
 
-def min_lead_monomials(basis: Sequence[Polynomial], order: MonomialOrder | None = None) -> list:
-    leads = [g.lead(order)[0] for g in basis if g]
+def min_lead_monomials(basis: Sequence[Polynomial]) -> list:
+    leads = [g.lead()[0] for g in basis if g]
     out = []
     for m in leads:
         if not any(mono_divides(o, m) for o in leads if o != m):
@@ -417,14 +416,14 @@ def standard_monomials_below(leads: Sequence[Monomial], ring: RingSpec, k: int, 
     return out
 
 
-def lead_ideal_dimension(basis: Sequence[Polynomial], ring: RingSpec, order: MonomialOrder | None = None) -> int:
+def lead_ideal_dimension(basis: Sequence[Polynomial], ring: RingSpec) -> int:
     """Combinatorial (Krull) dimension of the quotient by the lead-term ideal.
 
     dim = size of the largest variable subset V such that no lead monomial is
     supported inside V.  With a Groebner basis as input this is the dimension
     of the quotient by the ideal itself.
     """
-    leads = min_lead_monomials(basis, order)
+    leads = min_lead_monomials(basis)
     if any(plain_degree(m) == 0 for m in leads):
         return -1  # unit ideal
     n = ring.nvars

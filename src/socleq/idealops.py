@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from .errors import BudgetExceededError, InputError, RingMismatchError
 from .groebner import Ideal, eliminate
 from .limits import DEFAULT_LIMITS, Limits
-from .ring import MonomialOrder, Polynomial, RingSpec, mono_div, mono_divides
+from .ring import Polynomial, RingSpec, mono_div, mono_divides
 
 
 def _same_ring(I: Ideal, J: Ideal) -> RingSpec:
@@ -115,21 +115,20 @@ def intersect(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
 # exact division and colons
 
 
-def exact_div(h: Polynomial, f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
+def exact_div(h: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient h / f when f divides h exactly; raises otherwise."""
     ring = h.ring
     if f.ring != ring:
         raise RingMismatchError("operands from different rings")
     if not f:
         raise InputError("division by the zero polynomial")
-    order = order or ring.default_order
     fld = ring.field
-    flead, fc = f.lead(order)
+    flead, fc = f.lead()
     finv = fld.inv(fc)
     quot: dict = {}
     rem = h
     while rem:
-        hlead, hc = rem.lead(order)
+        hlead, hc = rem.lead()
         if not mono_divides(flead, hlead):
             raise InputError("polynomial division is not exact")
         u = mono_div(hlead, flead)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -18,16 +18,6 @@ class Limits:
     step_budget: int = 10_000_000
     trunc_k_budget: int = 40
     dim_cap: int = 20_000
-
-    def with_overrides(self, step_budget=None, trunc_k_budget=None, dim_cap=None) -> "Limits":
-        out = self
-        if step_budget is not None:
-            out = replace(out, step_budget=step_budget)
-        if trunc_k_budget is not None:
-            out = replace(out, trunc_k_budget=trunc_k_budget)
-        if dim_cap is not None:
-            out = replace(out, dim_cap=dim_cap)
-        return out
 
 
 DEFAULT_LIMITS = Limits()

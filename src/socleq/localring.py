@@ -63,8 +63,7 @@ class StableLength:
 
 @dataclass(frozen=True)
 class Containment:
-    holds: bool | None  # None: undecided within budget
-    certified: bool
+    holds: bool | None  # None: undecided within budget; True/False are certified
     method: str  # "finite-colength" | "graded" | "truncation-probe"
     witness: Polynomial | None = None
     level: int | None = None
@@ -72,19 +71,17 @@ class Containment:
 
 @dataclass(frozen=True)
 class Equality:
-    equal: bool | None
-    certified: bool
+    equal: bool | None  # None: undecided within budget; True/False are certified
     forward: Containment  # I subset of J
     backward: Containment  # J subset of I
 
 
 def _combine(forward: Containment, backward: Containment) -> Equality:
     if forward.holds is False or backward.holds is False:
-        bad = forward if forward.holds is False else backward
-        return Equality(False, bad.certified, forward, backward)
+        return Equality(False, forward, backward)
     if forward.holds and backward.holds:
-        return Equality(True, forward.certified and backward.certified, forward, backward)
-    return Equality(None, False, forward, backward)
+        return Equality(True, forward, backward)
+    return Equality(None, forward, backward)
 
 
 class LocalRing:
@@ -225,16 +222,13 @@ class LocalRing:
 
     # -- membership and containment -------------------------------------------------
 
-    def _nf_member(self, f: Polynomial, target: Ideal, K: int | None) -> tuple:
-        """Normal form of f against the interned S-ideal target (+ m^K when K
-        is given).
-
-        Returns (member, reduced_form)."""
+    def _nf_member(self, f: Polynomial, target: Ideal, K: int | None) -> bool:
+        """Is f in the interned S-ideal target (+ m^K when K is given)?
+        Decided by normal form."""
         basis = target.groebner_basis(None, self.limits, trunc=K)
-        red = normal_form(f, basis, None, self.limits, trunc=K)
-        member = not red
+        member = not normal_form(f, basis, self.limits, trunc=K)
         self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})
-        return member, red
+        return member
 
     def check_contained(self, I: Ideal, J: Ideal) -> Containment:
         """Does IA sit inside JA?  Certified wherever possible; a negative
@@ -242,43 +236,33 @@ class LocalRing:
         target = self.full(J)
         if self._is_graded_ideal(J):
             for g in I.gens:
-                member, _ = self._nf_member(g, target, None)
-                if not member:
-                    return Containment(False, True, "graded", witness=g)
-            return Containment(True, True, "graded")
+                if not self._nf_member(g, target, None):
+                    return Containment(False, "graded", witness=g)
+            return Containment(True, "graded")
         stable = self.length_of_quotient(J)
         if stable is not None:
             K = max(stable.level, 1)
             for g in I.gens:
-                member, _ = self._nf_member(g, target, K)
-                if not member:
-                    return Containment(False, True, "finite-colength", witness=g, level=K)
-            return Containment(True, True, "finite-colength", level=K)
+                if not self._nf_member(g, target, K):
+                    return Containment(False, "finite-colength", witness=g, level=K)
+            return Containment(True, "finite-colength", level=K)
         # probe: refutation is certified, confirmation is not available
         for K in range(1, self.limits.trunc_k_budget + 1):
             for g in I.gens:
-                member, _ = self._nf_member(g, target, K)
-                if not member:
-                    return Containment(False, True, "truncation-probe", witness=g, level=K)
-        return Containment(None, False, "truncation-probe", level=self.limits.trunc_k_budget)
+                if not self._nf_member(g, target, K):
+                    return Containment(False, "truncation-probe", witness=g, level=K)
+        return Containment(None, "truncation-probe", level=self.limits.trunc_k_budget)
 
     def check_equal(self, I: Ideal, J: Ideal) -> Equality:
         return _combine(self.check_contained(I, J), self.check_contained(J, I))
 
     def require_equal_verdict(self, I: Ideal, J: Ideal, what: str) -> Equality:
         got = self.check_equal(I, J)
-        if got.equal is None or not got.certified:
+        if got.equal is None:
             raise UndecidableError(
                 f"could not certify whether {what} within the truncation budget"
             )
         return got
-
-    def is_unit_element(self, f: Polynomial) -> bool:
-        """Is f a unit of A, i.e. nonzero constant term after reduction mod a?"""
-        member, red = self._nf_member(f, self.defining, None) if self.defining.gens else (not f, f)
-        if member:
-            return False
-        return bool(red.constant_term())
 
     # -- dimension and multiplicity ---------------------------------------------------
 
@@ -326,7 +310,7 @@ class LocalRing:
             Q = self.maximal()
         vals = []
         for n in range(self.limits.trunc_k_budget):
-            if Q is self.maximal() or Q.gens == self.maximal().gens:
+            if Q.gens == self.maximal().gens:
                 # len(A/m^{n+1}) is d_{n+1} directly
                 vals.append(self.quotient_dim_at(self.zero_ideal(), n + 1))
             else:
@@ -377,14 +361,14 @@ class LocalRing:
         if N == 0:
             return W, 0, 0
         basis = self.defining.groebner_basis(None, self.limits)
-        kept = [w for w in W.gens if normal_form(w, basis, None, self.limits)]
+        kept = [w for w in W.gens if normal_form(w, basis, self.limits)]
         W = Ideal(self.ring, kept)
         # m^N W sits inside a, so W/a is spanned by w * (monomials of degree < N)
         forms = []
         for w in W.gens:
             for mono in self.ring.monomials_below_plain_degree(N):
                 f = w.mul_term(mono, self.ring.field.one)
-                forms.append(normal_form(f, basis, None, self.limits))
+                forms.append(normal_form(f, basis, self.limits))
         return W, _rank_of_forms(forms, self.ring), N
 
     def h0_length(self) -> int:

@@ -55,13 +55,14 @@ class ProbeVerdict:
 
 
 def _local_equal(local: LocalRing, I: Ideal, J: Ideal):
-    """(equal, certified, method) for IA = JA, cheapest certificate first."""
+    """(equal, method) for IA = JA, cheapest certificate first.  equal is
+    None when undecided; True and False are certified."""
     if equal_as_s_ideals(I, J, local.limits):
-        return True, True, "s-level"
-    got = local.check_equal(Ideal(local.ring, I.gens), Ideal(local.ring, J.gens))
+        return True, "s-level"
+    got = local.check_equal(I, J)
     if got.equal is None:
-        return None, False, "truncation-probe"
-    return got.equal, got.certified, got.forward.method
+        return None, "truncation-probe"
+    return got.equal, got.forward.method
 
 
 def _require_in_m(seq):
@@ -89,12 +90,12 @@ def is_d_sequence(local: LocalRing, seq, memo: dict | None = None) -> ProbeVerdi
         rhs = colon_by_poly(base, seq[i - 1], local.limits, memo)
         for j in range(i, len(seq) + 1):
             lhs = colon_by_poly(base, seq[i - 1] * seq[j - 1], local.limits, memo)
-            equal, certified, method = _local_equal(local, lhs, rhs)
+            equal, method = _local_equal(local, lhs, rhs)
             details.append((i, j, equal, method))
             if method != "s-level":
                 worst = method
             if equal is False:
-                return ProbeVerdict(False, certified, method, tuple(details),
+                return ProbeVerdict(False, True, method, tuple(details),
                                     witness=f"colon pair (i={i}, j={j})")
             if equal is None:
                 return ProbeVerdict(None, False, method, tuple(details),
@@ -134,12 +135,12 @@ def is_weak_sequence(local: LocalRing, seq) -> ProbeVerdict:
         base = local.full(Ideal(local.ring, seq[: i - 1]))
         lhs = colon_by_poly(base, seq[i - 1], local.limits)
         rhs = colon(base, local.maximal(), local.limits)
-        equal, certified, method = _local_equal(local, lhs, rhs)
+        equal, method = _local_equal(local, lhs, rhs)
         details.append((i, equal, method))
         if method != "s-level":
             worst = method
         if equal is False:
-            return ProbeVerdict(False, certified, method, tuple(details),
+            return ProbeVerdict(False, True, method, tuple(details),
                                 witness=f"step i={i}")
         if equal is None:
             return ProbeVerdict(None, False, method, tuple(details),
@@ -186,7 +187,7 @@ def lemma_colon_split(local: LocalRing, L: Ideal, x: Polynomial, W: Ideal,
 
     lx = colon_by_poly(Lf, x, local.limits, memo)
     lx2 = colon_by_poly(Lf, x * x, local.limits, memo)
-    eq, _, _ = _local_equal(local, lx2, lx)
+    eq, _ = _local_equal(local, lx2, lx)
     if eq is not True:
         return _skipped("L : x^2 = L : x failed or undecided")
 
@@ -199,47 +200,46 @@ def lemma_colon_split(local: LocalRing, L: Ideal, x: Polynomial, W: Ideal,
     lhs = colon(ideal_sum(ideal_sum(Lf, xn), Wf), M, local.limits, memo)
     part1 = colon(ideal_sum(Lf, Wf), M, local.limits, memo)
     part2 = colon(ideal_sum(Lf, xn), M, local.limits, memo)
-    eq1, cert1, method1 = _local_equal(local, lhs, ideal_sum(part1, part2))
+    eq1, method1 = _local_equal(local, lhs, ideal_sum(part1, part2))
     details = [("split", eq1, method1)]
     if eq1 is not True:
-        return ProbeVerdict(eq1, cert1, method1, tuple(details),
+        return ProbeVerdict(eq1, eq1 is not None, method1, tuple(details),
                             witness="split identity failed")
 
     lm = colon(Lf, M, local.limits, memo)
-    sharp_applies, _, _ = _local_equal(local, lx, lm)
+    sharp_applies, _ = _local_equal(local, lx, lm)
     if sharp_applies is True:
-        eq2, cert2, method2 = _local_equal(local, lhs, part2)
+        eq2, method2 = _local_equal(local, lhs, part2)
         details.append(("sharp", eq2, method2))
         if eq2 is not True:
-            return ProbeVerdict(eq2, cert2, method2, tuple(details),
+            return ProbeVerdict(eq2, eq2 is not None, method2, tuple(details),
                                 witness="sharp form failed")
-    return ProbeVerdict(True, cert1, method1, tuple(details))
+    return ProbeVerdict(True, True, method1, tuple(details))
 
 
-def powered_colon_split(local: LocalRing, seq, exps, M: Ideal | None = None) -> ProbeVerdict:
+def powered_colon_split(local: LocalRing, seq, exps) -> ProbeVerdict:
     """Verify the powered colon-splitting law for one instance.
 
     For a strong d-sequence x_1..x_s (pre-checked on the exponent box up
-    to max(exps)), Q = (x_1..x_s), W = 0 : Q, and any ideal M containing
-    Q, with all exponents >= 2:
+    to max(exps)), Q = (x_1..x_s), W = 0 : Q, and the maximal ideal m,
+    with all exponents >= 2:
 
-        ((x_1^{n_1}, .., x_s^{n_s}) + W) : M
-            =  W + ((x_1^{n_1}, .., x_s^{n_s}) : M).
+        ((x_1^{n_1}, .., x_s^{n_s}) + W) : m
+            =  W + ((x_1^{n_1}, .., x_s^{n_s}) : m).
 
     Both numerators, a + P + W and a + P with P the powered ideal,
-    contain a, so dividing them by M gives their colons by a + M exactly.
+    contain a, so dividing them by m gives their colons by a + m exactly.
     """
     seq, exps = list(seq), list(exps)
     if len(seq) != len(exps):
         raise InputError("one exponent per sequence entry")
     if any(n < 2 for n in exps):
         return _skipped("all exponents must be at least 2")
-    if M is None:
-        M = local.maximal()
+    M = local.maximal()
     Q = Ideal(local.ring, seq)
     contained = local.check_contained(Q, M)
     if contained.holds is not True:
-        return _skipped("Q not certified to lie in M")
+        return _skipped("Q not certified to lie in m")
     memo: dict = {}
     pre = is_strong_d_sequence(local, seq, exp_bound=max(exps), memo=memo)
     if pre.holds is not True:
@@ -250,35 +250,33 @@ def powered_colon_split(local: LocalRing, seq, exps, M: Ideal | None = None) -> 
     Pf = local.full(powered)
     lhs = colon(ideal_sum(Pf, W), M, local.limits, memo)
     rhs = ideal_sum(W, colon(Pf, M, local.limits, memo))
-    eq, certified, method = _local_equal(local, lhs, rhs)
-    return ProbeVerdict(eq, certified, method, ((tuple(exps), eq, method),),
+    eq, method = _local_equal(local, lhs, rhs)
+    return ProbeVerdict(eq, eq is not None, method, ((tuple(exps), eq, method),),
                         witness=None if eq is True else "powered split failed")
 
 
-def m_multiples_check(local: LocalRing, Q: Ideal, I: Ideal | None = None,
-                      nmax: int = 4) -> ProbeVerdict:
-    """Compare m I^n with m Q^n for n = 1..nmax (I defaults to Q : m).
+def m_multiples_check(local: LocalRing, Q: Ideal) -> ProbeVerdict:
+    """Compare m I^n with m Q^n for n = 1..4, where I = Q : m.
 
     The n = 1 row also records plain containment m I in m Q, which is the
     multiplicity-one detector: on one side it forces e(A) = 1, on the
     other e(A) > 1 forces equality for every n.
     """
-    if I is None:
-        I = local.socle_of(Q)
+    I = local.socle_of(Q)
     m = local.maximal()
     details = []
     all_equal = True
     certified = True
     cont = local.check_contained(ideal_product(m, I), ideal_product(m, Q))
     details.append(("mI in mQ", cont.holds, cont.method))
-    for n in range(1, nmax + 1):
+    for n in range(1, 5):
         lhs = ideal_product(m, ideal_power(I, n))
         rhs = ideal_product(m, ideal_power(Q, n))
-        eq, cert, method = _local_equal(local, local.full(lhs), local.full(rhs))
+        eq, method = _local_equal(local, local.full(lhs), local.full(rhs))
         details.append((n, eq, method))
         if eq is not True:
             all_equal = False
-            certified = certified and (eq is False and cert)
+            certified = certified and eq is False
     return ProbeVerdict(all_equal, certified, "per-power comparison",
                         tuple(details))
 
@@ -335,10 +333,6 @@ class TypeEstimate:
 
     estimate: int
     values: tuple
-    depth: int
-
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
 
 
 def estimate_cm_type(local: LocalRing, depth_level: int, samples: int,
@@ -356,7 +350,7 @@ def estimate_cm_type(local: LocalRing, depth_level: int, samples: int,
     for _ in range(samples):
         q = sample_sop(local, depth_level, rng, max_draws=100 * samples)
         values.append(local.index_of_reducibility(q))
-    return TypeEstimate(max(values), tuple(values), depth_level)
+    return TypeEstimate(max(values), tuple(values))
 
 
 def buchsbaum_probe(local: LocalRing, samples: int, seed: int) -> ProbeVerdict:
@@ -388,9 +382,6 @@ class InvarianceReport:
 
     values: tuple  # distinct values, sorted
     per_sample: tuple
-
-    def is_constant(self) -> bool:
-        return len(self.values) == 1
 
 
 def invariance_probe(local: LocalRing, samples: int, seed: int) -> InvarianceReport:

@@ -84,25 +84,6 @@ class GrevLex(MonomialOrder):
         return (wdeg, tuple(-e for e in reversed(mono)))
 
 
-class GradedLex(MonomialOrder):
-    """Weighted-degree lexicographic."""
-
-    name = "gradedlex"
-
-    def key(self, mono, weights):
-        wdeg = sum(e * w for e, w in zip(mono, weights))
-        return (wdeg, mono)
-
-
-class Lex(MonomialOrder):
-    """Pure lexicographic, first declared variable largest."""
-
-    name = "lex"
-
-    def key(self, mono, weights):
-        return mono
-
-
 class Block(MonomialOrder):
     """Elimination order: variables in `first` dominate the rest.
 
@@ -138,14 +119,6 @@ class Block(MonomialOrder):
 
 
 GREVLEX = GrevLex()
-GRADEDLEX = GradedLex()
-LEX = Lex()
-
-
-def compare(order: MonomialOrder, u: Monomial, v: Monomial, weights: Sequence[int]) -> int:
-    """-1, 0 or 1 as u <, =, > v under the order."""
-    ku, kv = order.key(u, weights), order.key(v, weights)
-    return (ku > kv) - (ku < kv)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +133,7 @@ class RingSpec:
     unequal rings raises RingMismatchError at the point of combination.
     """
 
-    __slots__ = ("field", "vars", "weights", "_index", "_order")
+    __slots__ = ("field", "vars", "weights", "_index")
 
     def __init__(self, field: Field, names: Sequence[str], weights: Sequence[int] | None = None):
         names = tuple(names)
@@ -182,7 +155,6 @@ class RingSpec:
         self.vars = names
         self.weights = weights
         self._index = {n: i for i, n in enumerate(names)}
-        self._order = GREVLEX
 
     @property
     def nvars(self) -> int:
@@ -190,7 +162,7 @@ class RingSpec:
 
     @property
     def default_order(self) -> MonomialOrder:
-        return self._order
+        return GREVLEX
 
     def __eq__(self, other):
         return (
@@ -231,15 +203,6 @@ class RingSpec:
     def gens(self) -> tuple:
         return tuple(self.var(n) for n in self.vars)
 
-    def monomial(self, expo: Sequence[int], coeff=None) -> "Polynomial":
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != self.nvars or any(e < 0 for e in expo):
-            raise InputError(f"bad exponent tuple {expo}")
-        c = self.field.one if coeff is None else coeff
-        if not c:
-            return self.zero()
-        return Polynomial(self, ((expo, c),))
-
     def from_terms(self, terms) -> "Polynomial":
         """Build from {mono: coeff} or an iterable of (mono, coeff); zeros dropped."""
         acc = {}
@@ -255,8 +218,8 @@ class RingSpec:
         return Polynomial(self, self._sorted(acc))
 
     def _sorted(self, acc: dict) -> tuple:
-        order, w = self._order, self.weights
-        return tuple(sorted(acc.items(), key=lambda t: order.key(t[0], w), reverse=True))
+        key, w = GREVLEX.key, self.weights
+        return tuple(sorted(acc.items(), key=lambda t: key(t[0], w), reverse=True))
 
     # -- degrees ----------------------------------------------------------------
 
@@ -274,7 +237,7 @@ class RingSpec:
                 prev = b
             expo.append(k + self.nvars - 2 - prev)
             out.append(tuple(expo))
-        key = self._order.key
+        key = GREVLEX.key
         out.sort(key=lambda m: key(m, self.weights), reverse=True)
         return out
 
@@ -283,7 +246,7 @@ class RingSpec:
         out = []
         for d in range(k):
             out.extend(self.monomials_of_plain_degree(d))
-        key = self._order.key
+        key = GREVLEX.key
         out.sort(key=lambda m: key(m, self.weights), reverse=True)
         return out
 
@@ -406,14 +369,11 @@ class Polynomial:
 
     # -- leads and degrees ----------------------------------------------------------
 
-    def lead(self, order: MonomialOrder | None = None) -> tuple:
-        """(monomial, coeff) of the leading term under `order` (default ring order)."""
+    def lead(self) -> tuple:
+        """(monomial, coeff) of the leading term under the default order."""
         if not self.terms:
             raise InputError("zero polynomial has no lead term")
-        if order is None or order == self.ring.default_order:
-            return self.terms[0]
-        w = self.ring.weights
-        return max(self.terms, key=lambda t: order.key(t[0], w))
+        return self.terms[0]
 
     def weighted_degree(self) -> int | None:
         """Common weighted degree, or None when not weighted-homogeneous."""

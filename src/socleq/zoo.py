@@ -17,7 +17,6 @@ from .dsl import RingFile, format_ring_file, parse_poly_list
 from .errors import EngineError, InputError
 from .field import QQ, Field
 from .groebner import Ideal
-from .limits import DEFAULT_LIMITS, Limits
 from .localring import LocalRing
 from .probes import depth_probe
 from .ring import RingSpec
@@ -65,11 +64,10 @@ class ZooEntry:
         return got
 
 
-def _entry(ident, description, field, names, defining, expected,
-           weights=None, limits=DEFAULT_LIMITS) -> ZooEntry:
-    ring = RingSpec(field, names, weights)
+def _entry(ident, description, field, names, defining, expected) -> ZooEntry:
+    ring = RingSpec(field, names)
     gens = list(parse_poly_list(defining, ring)) if defining else []
-    return ZooEntry(ident, LocalRing(ring, gens, limits), description, expected)
+    return ZooEntry(ident, LocalRing(ring, gens), description, expected)
 
 
 # -- builders -----------------------------------------------------------------

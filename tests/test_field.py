@@ -9,14 +9,14 @@ from socleq.field import is_prime, parse_field
 
 
 def test_qq_elements_are_reduced_fractions():
-    a = QQ.from_fraction(6, 4)
+    a = QQ.mul(QQ.from_int(6), QQ.inv(QQ.from_int(4)))
     assert a == Fraction(3, 2)
     assert a.denominator == 2 and a.denominator > 0
 
 
 def test_qq_arithmetic():
-    a = QQ.from_fraction(1, 3)
-    b = QQ.from_fraction(1, 6)
+    a = QQ.inv(QQ.from_int(3))
+    b = QQ.inv(QQ.from_int(6))
     assert QQ.add(a, b) == Fraction(1, 2)
     assert QQ.mul(a, b) == Fraction(1, 18)
     assert QQ.inv(a) == 3

@@ -178,7 +178,7 @@ def test_estimate_cm_type_gorenstein_line():
 def test_estimate_cm_type_cp(cp):
     got = estimate_cm_type(cp, depth_level=2, samples=3, seed=1)
     assert got.estimate == 2
-    assert got.is_constant()
+    assert set(got.values) == {2}
 
 
 def test_buchsbaum_probe_passes_on_cp(cp):
@@ -189,7 +189,6 @@ def test_invariance_probe_values(cp, regular2):
     assert invariance_probe(regular2, samples=3, seed=2).values == (0,)
     got = invariance_probe(cp, samples=3, seed=2)
     assert got.values == (1,)
-    assert got.is_constant()
 
 
 def test_depth_probe_values(cp, cone):

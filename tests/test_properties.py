@@ -5,6 +5,7 @@ thousands of triples, the Groebner-level laws get dozens.
 """
 
 import random
+from dataclasses import replace
 
 from socleq.dsl import parse_poly_list
 from socleq.field import FP, QQ
@@ -22,7 +23,7 @@ from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
 from socleq.oracle import TruncatedAlgebra, oracle_quotient_dim
 from socleq.probes import sample_sop
-from socleq.ring import GRADEDLEX, GREVLEX, LEX, Block, RingSpec, compare, mono_mul
+from socleq.ring import GREVLEX, Block, RingSpec, mono_mul
 from socleq.zoo import build
 
 
@@ -36,7 +37,7 @@ def _rand_poly(rng, ring, max_terms=4, max_deg=3):
 
 def _member(f, I):
     basis = I.groebner_basis(None, DEFAULT_LIMITS)
-    return not normal_form(f, basis, None, DEFAULT_LIMITS)
+    return not normal_form(f, basis, DEFAULT_LIMITS)
 
 
 def _contains_ideal(I, J):
@@ -67,17 +68,18 @@ def test_order_axioms_on_random_monomials():
     rng = random.Random(5)
     monos = ring.monomials_below_plain_degree(6)
     one = (0, 0, 0)
-    for order in (GREVLEX, GRADEDLEX, LEX, Block((0,)), Block((1, 2))):
+    for order in (GREVLEX, Block((0,)), Block((1, 2))):
         for _ in range(400):
             u, v, w = (rng.choice(monos) for _ in range(3))
-            cu = compare(order, u, v, weights)
-            assert cu == -compare(order, v, u, weights)
-            assert (cu == 0) == (u == v)
-            assert compare(order, mono_mul(u, w), mono_mul(v, w), weights) == cu
+            ku, kv = order.key(u, weights), order.key(v, weights)
+            assert (ku < kv) != (kv < ku) or u == v
+            assert (ku == kv) == (u == v)
+            kuw, kvw = order.key(mono_mul(u, w), weights), order.key(mono_mul(v, w), weights)
+            assert (kuw < kvw, kuw == kvw) == (ku < kv, ku == kv)
             if u != one:
-                assert compare(order, one, u, weights) == -1
+                assert order.key(one, weights) < ku
     # the block order really dominates with its first block
-    assert compare(Block((0,)), (1, 0, 0), (0, 9, 9), weights) == 1
+    assert Block((0,)).key((1, 0, 0), weights) > Block((0,)).key((0, 9, 9), weights)
 
 
 def test_weighted_homogeneous_products():
@@ -155,7 +157,7 @@ def test_truncated_algebra_is_commutative_and_associative():
         basis = list(ta.basis)
         for _ in range(60):
             m1, m2, m3 = (rng.choice(basis) for _ in range(3))
-            p1, p2, p3 = (z.ring.monomial(m) for m in (m1, m2, m3))
+            p1, p2, p3 = (z.ring.from_terms([(m, z.ring.field.one)]) for m in (m1, m2, m3))
             r1 = ta.nf(p1)
             left = ta.multiply_row(ta.multiply_row(r1, p2), p3)
             assert left == ta.multiply_row(r1, p2 * p3)
@@ -184,8 +186,7 @@ def test_verdicts_survive_budget_inflation():
         loc = z.local
         rep = check_socle_square(loc, loc.ideal(qtxt))
         roomy = LocalRing(loc.ring, loc.defining.gens,
-                          loc.limits.with_overrides(
-                              trunc_k_budget=loc.limits.trunc_k_budget + 3))
+                          replace(loc.limits, trunc_k_budget=loc.limits.trunc_k_budget + 3))
         rep2 = check_socle_square(roomy, roomy.ideal(qtxt))
         assert (rep.equal, rep.len_A_mod_Q, rep.len_A_mod_I, rep.socle_dim) == \
                (rep2.equal, rep2.len_A_mod_Q, rep2.len_A_mod_I, rep2.socle_dim)

@@ -4,15 +4,12 @@ import pytest
 
 from socleq import (
     FP,
-    GRADEDLEX,
     GREVLEX,
-    LEX,
     QQ,
     Block,
     InputError,
     RingMismatchError,
     RingSpec,
-    compare,
     parse_poly,
 )
 
@@ -34,41 +31,39 @@ def test_ring_validation():
 
 
 def test_grevlex_prefers_first_variable_on_equal_degree(rxy):
-    x2 = (2, 0)
-    xy = (1, 1)
-    assert compare(GREVLEX, x2, xy, rxy.weights) == 1
-    assert compare(GREVLEX, xy, x2, rxy.weights) == -1
-    assert compare(GREVLEX, x2, x2, rxy.weights) == 0
+    x2 = GREVLEX.key((2, 0), rxy.weights)
+    xy = GREVLEX.key((1, 1), rxy.weights)
+    assert x2 > xy
+    assert xy < x2
+    assert x2 == GREVLEX.key((2, 0), rxy.weights)
 
 
 def test_weighted_degree_order_examples():
     r = RingSpec(QQ, ["X", "Y"], [1, 2])
     # Y has weighted degree 2 > X's 1
-    assert compare(GRADEDLEX, (0, 1), (1, 0), r.weights) == 1
-    assert compare(GREVLEX, (0, 1), (1, 0), r.weights) == 1
+    assert GREVLEX.key((0, 1), r.weights) > GREVLEX.key((1, 0), r.weights)
 
 
 def test_lex_and_block_orders():
     r = RingSpec(QQ, ["X", "Y", "Z"])
-    assert compare(LEX, (1, 0, 0), (0, 5, 0), r.weights) == 1
     elim = Block([0])  # X dominates {Y, Z}
-    assert compare(elim, (1, 0, 0), (0, 5, 0), r.weights) == 1
-    assert compare(elim, (0, 1, 0), (0, 0, 2), r.weights) == -1  # grevlex on the tail block
+    assert elim.key((1, 0, 0), r.weights) > elim.key((0, 5, 0), r.weights)
+    # grevlex on the tail block
+    assert elim.key((0, 1, 0), r.weights) < elim.key((0, 0, 2), r.weights)
     # keys computed on several ring sizes leave equality and hashing to `first`
-    compare(elim, (0, 1), (1, 0), (1, 1))
+    elim.key((0, 1), (1, 1))
     assert elim == Block((0,)) and hash(elim) == hash(Block((0,)))
-    assert elim != Block((1,)) and elim != LEX
+    assert elim != Block((1,)) and elim != GREVLEX
 
 
 def test_order_axioms_spotchecks(rxy):
     w = rxy.weights
-    one = (0, 0)
+    one = GREVLEX.key((0, 0), w)
     for u in [(1, 0), (0, 1), (2, 3)]:
-        assert compare(GREVLEX, u, one, w) == 1  # 1 is minimal
+        assert GREVLEX.key(u, w) > one  # 1 is minimal
     # multiplicativity: u > v implies u+t > v+t
-    u, v, t = (2, 0), (1, 1), (3, 4)
-    assert compare(GREVLEX, u, v, w) == 1
-    assert compare(GREVLEX, (5, 4), (4, 5), w) == 1
+    assert GREVLEX.key((2, 0), w) > GREVLEX.key((1, 1), w)
+    assert GREVLEX.key((5, 4), w) > GREVLEX.key((4, 5), w)
 
 
 def test_weighted_degree_of_named_generators():
