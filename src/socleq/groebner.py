@@ -94,7 +94,6 @@ class _OrderKeys(dict):
 class _Engine:
     def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps, trunc: int | None):
         self.ring = ring
-        self.order = order
         self.weights = ring.weights
         self.keyf = _OrderKeys(order, ring.weights).__getitem__
         self.steps = steps
@@ -201,8 +200,6 @@ class _Engine:
         fld = self.ring.field
         while self.pairs:
             _, i, j, lcm = heapq.heappop(self.pairs)
-            if (i, j) in self.certified:
-                continue
             if self.chain_skippable(i, j, lcm):
                 self.certified.add((i, j))
                 continue
@@ -235,17 +232,14 @@ class _Engine:
             li = self.basis[i].lead
             if not any(mono_divides(self.basis[k].lead, li) for k in kept):
                 kept.append(i)
-        fld = self.ring.field
+        # the run is over: divs becomes the kept non-cover elements (lead(i)
+        # divides no monomial below it, so it never fires on its own tail)
+        self.divs = [self.basis[k] for k in kept if not self.basis[k].cover]
+        one = self.ring.field.one
         out = []
         for i in kept:
             elt = self.basis[i]
-            others = [self.basis[k] for k in kept if k != i]
-            sub = _Engine(self.ring, self.order, self.steps, self.trunc)
-            sub.keyf = keyf
-            sub.basis = others
-            sub.divs = [e for e in others if not e.cover]
-            red = sub.reduce_full(dict(elt.tail))
-            out.append([(elt.lead, fld.one), *red.items()])
+            out.append([(elt.lead, one), *self.reduce_full(dict(elt.tail)).items()])
         return out  # kept is ascending by lead already
 
 

@@ -235,23 +235,18 @@ class LocalRing:
         answer is always certified, with a witness generator."""
         target = self.full(J)
         if self._is_graded_ideal(J):
-            for g in I.gens:
-                if not self._nf_member(g, target, None):
-                    return Containment(False, "graded", witness=g)
-            return Containment(True, "graded")
-        stable = self.length_of_quotient(J)
-        if stable is not None:
-            K = max(stable.level, 1)
-            for g in I.gens:
-                if not self._nf_member(g, target, K):
-                    return Containment(False, "finite-colength", witness=g, level=K)
-            return Containment(True, "finite-colength", level=K)
-        # probe: refutation is certified, confirmation is not available
-        for K in range(1, self.limits.trunc_k_budget + 1):
+            method, levels = "graded", [None]
+        elif (stable := self.length_of_quotient(J)) is not None:
+            method, levels = "finite-colength", [max(stable.level, 1)]
+        else:
+            # probe: refutation is certified, confirmation is not available
+            method, levels = "truncation-probe", range(1, self.limits.trunc_k_budget + 1)
+        for K in levels:
             for g in I.gens:
                 if not self._nf_member(g, target, K):
-                    return Containment(False, "truncation-probe", witness=g, level=K)
-        return Containment(None, "truncation-probe", level=self.limits.trunc_k_budget)
+                    return Containment(False, method, witness=g, level=K)
+        holds = None if method == "truncation-probe" else True
+        return Containment(holds, method, level=levels[-1] if levels else 0)
 
     def check_equal(self, I: Ideal, J: Ideal) -> Equality:
         return _combine(self.check_contained(I, J), self.check_contained(J, I))

@@ -18,11 +18,16 @@ the ideal is a sum of terms h*g_i, and the contribution of every monomial
 of h with degree >= K - mindeg(g_i) lands entirely in degrees >= K, where
 truncation kills it.  Quotient dimensions, memberships and socle ranks
 all reduce to ranks of such row families.
+
+A weighted homogeneous ideal H needs no truncation: f lies in H iff each
+weighted-degree piece f_D lies in H_D, and H_D is spanned by the products
+u*g_i with wdeg(u) = D - wdeg(g_i) (the homogeneous Macaulay matrix).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import BudgetExceededError
@@ -128,37 +133,6 @@ def oracle_member(ring: RingSpec, gens, f: Polynomial, K: int,
     return TruncatedAlgebra(ring, gens, K, cap=cap).contains(f)
 
 
-def graded_member_level(f: Polynomial) -> int:
-    """Truncation level at which membership in a weighted homogeneous ideal
-    is equivalent to plain membership.
-
-    For H generated in the weights' grading and K > every weighted degree
-    occurring in f, suppose f = h + g with h in H and g in m^K.  Each term
-    of g has plain degree >= K, hence weighted degree >= K (weights are
-    positive integers), so the graded pieces of f in the degrees it
-    actually occupies agree with those of h, and each piece of h lies in H
-    because H is homogeneous.  Thus f in H + m^K implies f in H.
-    """
-    ring = f.ring
-    top = max((ring.wdeg(m) for m, _ in f.terms), default=0)
-    return top + 1
-
-
-def oracle_member_graded(ring: RingSpec, gens, f: Polynomial,
-                         cap: int = DEFAULT_DIM_CAP) -> bool:
-    """Membership in a weighted homogeneous ideal, decided at a finite level.
-
-    Every generator must be weighted homogeneous; that makes the ideal
-    homogeneous and justifies the finite cutoff from graded_member_level.
-    """
-    for g in gens:
-        if g and g.weighted_degree() is None:
-            raise ValueError("oracle_member_graded needs weighted homogeneous generators")
-    if not f:
-        return True
-    return oracle_member(ring, gens, f, graded_member_level(f), cap=cap)
-
-
 # ---------------------------------------------------------------------------
 # truncated algebras
 
@@ -237,6 +211,49 @@ class TruncatedAlgebra:
         return self.dim - maps.rank
 
 
+class GradedIdeal:
+    """A weighted homogeneous ideal, row-reduced one weighted degree D at a
+    time (the piece H_D, built on first use from the rows u*g).  Homogeneity
+    is checked here, not taken from the caller: ValueError otherwise."""
+
+    def __init__(self, ring: RingSpec, gens, cap: int = DEFAULT_DIM_CAP):
+        self.ring = ring
+        self.cap = cap
+        self.gens = [(g.weighted_degree(), g) for g in gens if g]
+        if any(d is None for d, _ in self.gens):
+            raise ValueError("GradedIdeal needs weighted homogeneous generators")
+        self._pieces: dict = {}
+
+    def _monomials(self, D: int, i: int = 0):
+        """Exponent vectors of weighted degree D in the variables i.., walked directly."""
+        w = self.ring.weights[i]
+        if i == self.ring.nvars - 1:
+            if D >= 0 and D % w == 0:
+                yield (D // w,)
+            return
+        for e in range(D // w + 1):
+            for rest in self._monomials(D - e * w, i + 1):
+                yield (e, *rest)
+
+    def _piece(self, D: int) -> Echelon:
+        ech = self._pieces.get(D)
+        if ech is None:
+            if sum(1 for _ in itertools.islice(self._monomials(D), self.cap + 1)) > self.cap:
+                raise BudgetExceededError(f"degree {D} piece is wider than the cap of {self.cap}")
+            ech = Echelon(self.ring.field, _mono_key(self.ring))
+            for d, g in self.gens:
+                for u in self._monomials(D - d):
+                    ech.add({mono_mul(u, m): c for m, c in g.terms})
+            self._pieces[D] = ech
+        return ech
+
+    def contains(self, f: Polynomial) -> bool:
+        split: dict = {}
+        for m, c in f.terms:
+            split.setdefault(self.ring.wdeg(m), {})[m] = c
+        return all(self._piece(D).contains(row) for D, row in split.items())
+
+
 def stable_socle_dim(ring: RingSpec, gens, budget: int,
                      cap: int = DEFAULT_DIM_CAP) -> tuple:
     """Socle dimension of S/(gens), certified by dimension stabilisation.
@@ -266,9 +283,10 @@ class OracleAuditor:
 
     Attach an instance as ``local.auditor``; every quotient dimension and
     membership decision the local layer certifies is then re-derived by
-    row reduction, with mismatches recorded.  Instances whose truncated
-    slice exceeds dim_cap are counted as skipped rather than ground
-    through, so audits stay cheap enough to run everywhere.
+    row reduction, with mismatches recorded: graded-route memberships
+    (K=None) one weighted degree at a time, everything else on a truncated
+    slice.  A slice or degree piece wider than dim_cap is counted as
+    skipped rather than ground through, so audits stay cheap everywhere.
     """
 
     def __init__(self, dim_cap: int = 2000):
@@ -287,37 +305,29 @@ class OracleAuditor:
         }
 
     def __call__(self, event: dict) -> None:
-        ring, gens, K = event["ring"], event["gens"], event["K"]
-        membership = event["kind"] == "membership"
-        if membership and K is None:
-            # graded route: auditable only when the generators are visibly
-            # homogeneous, since that is what justifies the finite cutoff
-            if any(g and g.weighted_degree() is None for g in gens):
-                self.skipped += 1
-                return
-            K = graded_member_level(event["f"])
         try:
-            alg = self._slice(ring, gens, K)
-        except BudgetExceededError:
+            oracle = self._oracle(event["ring"], event["gens"], event["K"])
+            if event["kind"] == "membership":
+                got, want = oracle.contains(event["f"]), event["member"]
+            else:
+                got, want = oracle.dim, event["dim"]
+        except (BudgetExceededError, ValueError):
+            # over the cap, or a graded-route event whose generators are not
+            # visibly homogeneous: the engine's word for that is not taken
             self.skipped += 1
             return
-        if membership:
-            got, want = alg.contains(event["f"]), event["member"]
-        else:
-            got, want = alg.dim, event["dim"]
         self.checked += 1
         if got != want:
             self.mismatches.append({**event, "oracle": got})
 
-    def _slice(self, ring: RingSpec, gens, K: int) -> TruncatedAlgebra:
-        """The slice of (gens, K), reusing the previous event's when it matches.
-
-        Only one slice is kept: the old one is dropped before a new one is
-        built, so at most one is alive at a time.
-        """
+    def _oracle(self, ring: RingSpec, gens, K: int | None):
+        """The slice of (gens, K), or for K=None the graded ideal of gens.
+        Only the previous event's is kept, and it is dropped before a new
+        one is built, so at most one is alive at a time."""
         key = (ring, gens, K)
         if self._key != key:
             self._key = self._alg = None
-            self._alg = TruncatedAlgebra(ring, gens, K, cap=self.dim_cap)
+            self._alg = (GradedIdeal(ring, gens, cap=self.dim_cap) if K is None
+                         else TruncatedAlgebra(ring, gens, K, cap=self.dim_cap))
             self._key = key
         return self._alg

@@ -192,6 +192,8 @@ def test_criterion_7_oracle_agreement(fp_audited):
            f"only {auditor.checked} events audited")
     _check(problems, not auditor.mismatches,
            f"{len(auditor.mismatches)} oracle mismatches")
+    _check(problems, auditor.skipped <= 0.05 * (auditor.checked + auditor.skipped),
+           f"{auditor.skipped} of {auditor.checked + auditor.skipped} events skipped")
     _finish(7, f"independent row reduction agreement "
                f"({auditor.checked} checked, {auditor.skipped} skipped)", problems)
 

@@ -7,15 +7,15 @@ from socleq.errors import BudgetExceededError
 from socleq.localring import LocalRing, check_socle_square
 from socleq.oracle import (
     Echelon,
+    GradedIdeal,
     OracleAuditor,
     TruncatedAlgebra,
-    graded_member_level,
     oracle_member,
-    oracle_member_graded,
     oracle_quotient_dim,
     stable_socle_dim,
     truncate_poly,
 )
+from socleq.zoo import build
 
 
 def ring2(field=QQ):
@@ -146,28 +146,66 @@ def test_truncated_membership_agrees_with_basis_engine(field):
                 assert oracle_member(r, gens, f, K) == want
 
 
-def test_graded_membership_agrees_with_exact_ideal():
-    r = ring2()
-    gens = polys("X^2, X*Y", r)
-    ideal = Ideal(r, gens)
+def _graded_presentation(name):
+    if name == "ring2":
+        r = ring2()
+        return r, polys("X^2, X*Y", r)
+    z = build(name)  # weights 3, 4, 5
+    return z.ring, list(z.local.defining.gens)
+
+
+@pytest.mark.parametrize("name", ["ring2", "semigroup3"])
+def test_graded_membership_agrees_with_exact_ideal(name):
+    r, gens = _graded_presentation(name)
+    ideal, graded = Ideal(r, gens), GradedIdeal(r, gens)
+    by_degree: dict = {}
+    for m in r.monomials_below_plain_degree(14):
+        by_degree.setdefault(r.wdeg(m), []).append(m)
+    multipliers = r.monomials_below_plain_degree(4)
     rng = random.Random(99)
     hits = 0
-    for _ in range(80):
-        f = _random_poly(r, rng, max_deg=5)
+    for _ in range(60):
+        # a multiple of one generator, plus up to two stray terms of its
+        # weighted degree: homogeneous, and in the ideal only sometimes
+        g, u = rng.choice(gens), rng.choice(multipliers)
+        f = g.mul_term(u, r.field.from_int(rng.choice([-3, 1, 2])))
+        same = by_degree[r.wdeg(u) + g.weighted_degree()]
+        for _ in range(rng.randrange(3)):
+            f = f + r.from_terms({rng.choice(same): r.field.from_int(rng.choice([-1, 1]))})
         want = ideal.contains(f)
         hits += want
-        assert oracle_member_graded(r, gens, f) == want
-    assert hits  # the sample must exercise both outcomes
-    assert hits < 80
-    assert oracle_member_graded(r, gens, parse_poly("X^3 + 2*X^2*Y", r))
-    assert not oracle_member_graded(r, gens, parse_poly("X^2 + Y^2", r))
+        assert graded.contains(f) == want
+    assert 0 < hits < 60  # the sample must exercise both outcomes
+    if name == "ring2":
+        assert graded.contains(parse_poly("X^3 + 2*X^2*Y", r))
+        assert graded.contains(parse_poly("X^2 + X*Y^3", r))  # two degrees
+        assert not graded.contains(parse_poly("X^2 + Y^2", r))
+        assert not graded.contains(parse_poly("X^2 + Y", r))
 
 
-def test_graded_member_level_uses_weights():
+def test_graded_ideal_uses_weights():
     r = RingSpec(QQ, ["X", "Y"], weights=[3, 4])
-    assert graded_member_level(parse_poly("X^2*Y", r)) == 11
     with pytest.raises(ValueError):
-        oracle_member_graded(r, polys("X^2 - Y", r), parse_poly("X", r))
+        GradedIdeal(r, polys("X^2 - Y", r))
+    # homogeneous of weighted degree 12, though not in the plain grading
+    graded = GradedIdeal(r, polys("X^4 - Y^3", r))
+    assert graded.contains(parse_poly("X^5 - X*Y^3", r))
+    assert not graded.contains(parse_poly("X^4", r))
+
+
+def test_graded_piece_over_the_cap():
+    r = ring2()
+    gens = polys("X^2, X*Y", r)
+    # degree 3 has four monomials, one more than the cap
+    with pytest.raises(BudgetExceededError):
+        GradedIdeal(r, gens, cap=3).contains(parse_poly("Y^3", r))
+    local = LocalRing(r, gens)
+    audit = OracleAuditor(dim_cap=3)
+    local.auditor = audit
+    got = local.check_contained(local.ideal("X*Y, Y^3"), local.zero_ideal())
+    assert (got.holds, got.method) == (False, "graded")
+    # X*Y sits in a three-wide piece, Y^3 in a four-wide one
+    assert audit.summary() == {"checked": 1, "skipped": 1, "mismatches": 0}
 
 
 # -- socles --------------------------------------------------------------------
@@ -204,12 +242,13 @@ def test_stable_socle_needs_finite_colength():
 def test_auditor_agrees_with_full_socle_check(monkeypatch):
     builds = []
 
-    class Counted(TruncatedAlgebra):
+    class Counted(Echelon):
         def __init__(self, *args, **kwargs):
-            builds.append(args[2])
+            builds.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr("socleq.oracle.TruncatedAlgebra", Counted)
+    # each slice and each graded piece the auditor row-reduces is one Echelon
+    monkeypatch.setattr("socleq.oracle.Echelon", Counted)
     r = ring2()
     local = LocalRing(r, polys("X^2, X*Y", r))
     audit = OracleAuditor(dim_cap=2000)
@@ -217,7 +256,7 @@ def test_auditor_agrees_with_full_socle_check(monkeypatch):
     report = check_socle_square(local, local.ideal("Y^3"))
     assert report.equal is False
     assert audit.checked > 0
-    # consecutive events on the same (gens, K) share one slice
+    # consecutive events on the same (gens, K) share one slice or graded ideal
     assert 0 < len(builds) < audit.checked
     assert audit.mismatches == []
 
@@ -230,3 +269,13 @@ def test_auditor_skips_oversized_instances():
     local.quotient_dim_at(Ideal(r, polys("X, Y, Z, W", r)), 5)
     assert audit.skipped == 1
     assert audit.checked == 0
+
+
+def test_weighted_socle_check_is_fully_audited():
+    z = build("semigroup3", FP(32003))
+    audit = OracleAuditor(dim_cap=2000)
+    z.local.auditor = audit
+    check_socle_square(z.local, z.local.ideal("X2*X3^2"))
+    assert audit.checked > 0
+    assert audit.skipped == 0
+    assert audit.mismatches == []
