@@ -289,13 +289,7 @@ def parse_ring_file(text: str) -> RingFile:
 
     if names is None:
         raise ParseError("ring file declares no variables", text, len(text))
-    if ring is None:
-        ring = RingSpec(fld or QQ, names, weights)
-    try:
-        ring = RingSpec(ring.field, ring.vars, ring.weights)
-    except InputError as exc:
-        raise ParseError(str(exc), text, 0) from None
-    return RingFile(ring=ring, quotient=tuple(quotient), ideals=ideals)
+    return RingFile(ring=need_ring(len(text)), quotient=tuple(quotient), ideals=ideals)
 
 
 def _parse_list_at(payload: str, ring: RingSpec, base: int, full_text: str) -> list:

@@ -359,12 +359,12 @@ class LocalRing:
         kept = [w for w in W.gens if normal_form(w, basis, self.limits)]
         W = Ideal(self.ring, kept)
         # m^N W sits inside a, so W/a is spanned by w * (monomials of degree < N)
-        forms = []
+        ech = Echelon(self.ring.field)
         for w in W.gens:
             for mono in self.ring.monomials_below_plain_degree(N):
                 f = w.mul_term(mono, self.ring.field.one)
-                forms.append(normal_form(f, basis, self.limits))
-        return W, _rank_of_forms(forms, self.ring), N
+                ech.add(dict(normal_form(f, basis, self.limits).terms))
+        return W, ech.rank, N
 
     def h0_length(self) -> int:
         return self.h0()[1]
@@ -471,13 +471,3 @@ def _samuel_from_lengths(vals: list, d: int) -> int | None:
     if row[-1] == row[-2] == row[-3] and row[-1] > 0:
         return row[-1]
     return None
-
-
-def _rank_of_forms(polys, ring: RingSpec) -> int:
-    """Exact rank of the span of the given polynomials, by sparse row
-    echelon with the ring's default order choosing pivots."""
-    order, weights = ring.default_order, ring.weights
-    ech = Echelon(ring.field, lambda m: order.key(m, weights))
-    for p in polys:
-        ech.add(dict(p.terms))
-    return ech.rank

@@ -3,10 +3,10 @@
 Everything in here recomputes quantities the Groebner path also produces,
 using nothing but linear algebra over the coefficient field: a finite
 dimensional slice of the ring is spanned by explicit rows and reduced to
-echelon form.  No S-polynomials, no monomial orders beyond a fixed total
-order used as a tie breaker, no shared code with the basis engine.  The
-point is that a bug would have to occur twice, in two unrelated
-algorithms, to go unnoticed.
+echelon form.  No S-polynomials, no monomial order (a row's pivot is its
+largest exponent tuple in Python's own order), no shared code with the
+basis engine.  The point is that a bug would have to occur twice, in two
+unrelated algorithms, to go unnoticed.
 
 The slice of the polynomial ring below plain degree K is a vector space
 with monomial basis.  For generators g_1..g_r the rows
@@ -30,10 +30,9 @@ import functools
 import itertools
 import math
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UndecidableError
+from .limits import DEFAULT_LIMITS
 from .ring import Polynomial, RingSpec, mono_mul, plain_degree
-
-DEFAULT_DIM_CAP = 20000
 
 
 def _dim_below(ring: RingSpec, K: int) -> int:
@@ -48,18 +47,19 @@ def truncate_poly(f: Polynomial, K: int) -> dict:
 
 
 class Echelon:
-    """Incremental reduced row echelon over an exact field.
+    """Incremental row echelon over an exact field.
 
-    Rows are dicts keyed by hashable labels (monomials here); the pivot of
-    a row is its largest label under the supplied key function.  Stored
-    rows are monic at their pivot and mutually lead-reduced, which is all
-    that span membership needs: a row reduces to the empty dict iff it
-    lies in the span.
+    Rows are dicts keyed by mutually comparable labels (exponent tuples,
+    or socle_dim's (i, m) pairs); the pivot of a row is its largest label
+    in Python's own order.
+    Any fixed total order gives the same span, rank and memberships, so no
+    monomial order is involved.  Stored rows are monic at their pivot and
+    reduced against the rows stored before them; a row reduces to the
+    empty dict iff it lies in the span.
     """
 
-    def __init__(self, field, keyfn):
+    def __init__(self, field):
         self.field = field
-        self.keyfn = keyfn
         self.pivots: dict = {}
 
     @property
@@ -67,14 +67,17 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        """Lead-reduce row against the stored rows; returns the residual."""
+        """Fully reduce row against the stored rows; returns the residual,
+        which carries no pivot label."""
         fld = self.field
         row = dict(row)
+        out: dict = {}
         while row:
-            piv = max(row, key=self.keyfn)
+            piv = max(row)
             hit = self.pivots.get(piv)
             if hit is None:
-                return row
+                out[piv] = row.pop(piv)
+                continue
             c = row[piv]
             for m, a in hit.items():
                 b = fld.sub(row.get(m, fld.zero), fld.mul(c, a))
@@ -82,7 +85,7 @@ class Echelon:
                     row[m] = b
                 else:
                     row.pop(m, None)
-        return row
+        return out
 
     def add(self, row: dict):
         """Insert a row; returns its pivot label, or None if dependent."""
@@ -90,7 +93,7 @@ class Echelon:
         red = self.reduce(row)
         if not red:
             return None
-        piv = max(red, key=self.keyfn)
+        piv = max(red)
         inv = fld.inv(red[piv])
         self.pivots[piv] = {m: fld.mul(inv, c) for m, c in red.items()}
         return piv
@@ -99,9 +102,16 @@ class Echelon:
         return not self.reduce(row)
 
 
-def _mono_key(ring: RingSpec):
-    order, w = ring.default_order, ring.weights
-    return lambda m: order.key(m, w)
+def _exponents(weights, D: int):
+    """Exponent vectors of weighted degree D, walked directly."""
+    w = weights[0]
+    if len(weights) == 1:
+        if D >= 0 and D % w == 0:
+            yield (D // w,)
+        return
+    for e in range(D // w + 1):
+        for rest in _exponents(weights[1:], D - e * w):
+            yield (e, *rest)
 
 
 def _spanning_rows(gens, K: int):
@@ -109,10 +119,9 @@ def _spanning_rows(gens, K: int):
     for g in gens:
         if not g:
             continue
-        ring = g.ring
-        bound = K - g.min_plain_degree()
-        for d in range(max(bound, 0)):
-            for u in ring.monomials_of_plain_degree(d):
+        ones = (1,) * g.ring.nvars
+        for d in range(K - g.min_plain_degree()):
+            for u in _exponents(ones, d):
                 row = {}
                 for m, c in g.terms:
                     mm = mono_mul(u, m)
@@ -122,13 +131,13 @@ def _spanning_rows(gens, K: int):
                     yield row
 
 
-def oracle_quotient_dim(ring: RingSpec, gens, K: int, cap: int = DEFAULT_DIM_CAP) -> int:
+def oracle_quotient_dim(ring: RingSpec, gens, K: int, cap: int = DEFAULT_LIMITS.dim_cap) -> int:
     """dim_k S/(gens + m^K), by counting monomials minus the row rank."""
     return TruncatedAlgebra(ring, gens, K, cap=cap).dim
 
 
 def oracle_member(ring: RingSpec, gens, f: Polynomial, K: int,
-                  cap: int = DEFAULT_DIM_CAP) -> bool:
+                  cap: int = DEFAULT_LIMITS.dim_cap) -> bool:
     """Is f in (gens) + m^K?  Exact for every K."""
     return TruncatedAlgebra(ring, gens, K, cap=cap).contains(f)
 
@@ -147,7 +156,7 @@ class TruncatedAlgebra:
     representatives, truncating, and reducing.
     """
 
-    def __init__(self, ring: RingSpec, gens, K: int, cap: int = DEFAULT_DIM_CAP):
+    def __init__(self, ring: RingSpec, gens, K: int, cap: int = DEFAULT_LIMITS.dim_cap):
         total = _dim_below(ring, K)
         if total > cap:
             raise BudgetExceededError(
@@ -155,15 +164,16 @@ class TruncatedAlgebra:
             )
         self.ring = ring
         self.K = K
-        self.ech = Echelon(ring.field, _mono_key(ring))
+        self.ech = Echelon(ring.field)
         for row in _spanning_rows(gens, K):
             self.ech.add(row)
         self.dim = total - self.ech.rank
 
     @functools.cached_property
     def basis(self) -> tuple:
+        ones = (1,) * self.ring.nvars
         return tuple(
-            m for m in self.ring.monomials_below_plain_degree(self.K)
+            m for d in range(self.K) for m in _exponents(ones, d)
             if m not in self.ech.pivots
         )
 
@@ -199,9 +209,8 @@ class TruncatedAlgebra:
         on the caller's side (see stable_socle_dim).
         """
         fld = self.ring.field
-        keyfn = self.ech.keyfn
         xs = self.ring.gens()
-        maps = Echelon(fld, lambda label: (label[0], keyfn(label[1])))
+        maps = Echelon(fld)
         for mu in self.basis:
             stacked: dict = {}
             for i, x in enumerate(xs):
@@ -214,35 +223,25 @@ class TruncatedAlgebra:
 class GradedIdeal:
     """A weighted homogeneous ideal, row-reduced one weighted degree D at a
     time (the piece H_D, built on first use from the rows u*g).  Homogeneity
-    is checked here, not taken from the caller: ValueError otherwise."""
+    is checked here, not taken from the caller: UndecidableError otherwise."""
 
-    def __init__(self, ring: RingSpec, gens, cap: int = DEFAULT_DIM_CAP):
+    def __init__(self, ring: RingSpec, gens, cap: int = DEFAULT_LIMITS.dim_cap):
         self.ring = ring
         self.cap = cap
         self.gens = [(g.weighted_degree(), g) for g in gens if g]
         if any(d is None for d, _ in self.gens):
-            raise ValueError("GradedIdeal needs weighted homogeneous generators")
+            raise UndecidableError("GradedIdeal needs weighted homogeneous generators")
         self._pieces: dict = {}
-
-    def _monomials(self, D: int, i: int = 0):
-        """Exponent vectors of weighted degree D in the variables i.., walked directly."""
-        w = self.ring.weights[i]
-        if i == self.ring.nvars - 1:
-            if D >= 0 and D % w == 0:
-                yield (D // w,)
-            return
-        for e in range(D // w + 1):
-            for rest in self._monomials(D - e * w, i + 1):
-                yield (e, *rest)
 
     def _piece(self, D: int) -> Echelon:
         ech = self._pieces.get(D)
         if ech is None:
-            if sum(1 for _ in itertools.islice(self._monomials(D), self.cap + 1)) > self.cap:
+            w = self.ring.weights
+            if sum(1 for _ in itertools.islice(_exponents(w, D), self.cap + 1)) > self.cap:
                 raise BudgetExceededError(f"degree {D} piece is wider than the cap of {self.cap}")
-            ech = Echelon(self.ring.field, _mono_key(self.ring))
+            ech = Echelon(self.ring.field)
             for d, g in self.gens:
-                for u in self._monomials(D - d):
+                for u in _exponents(w, D - d):
                     ech.add({mono_mul(u, m): c for m, c in g.terms})
             self._pieces[D] = ech
         return ech
@@ -255,7 +254,7 @@ class GradedIdeal:
 
 
 def stable_socle_dim(ring: RingSpec, gens, budget: int,
-                     cap: int = DEFAULT_DIM_CAP) -> tuple:
+                     cap: int = DEFAULT_LIMITS.dim_cap) -> tuple:
     """Socle dimension of S/(gens), certified by dimension stabilisation.
 
     Runs its own K loop: once dim S/(gens + m^K) equals dim S/(gens + m^{K+1})
@@ -311,7 +310,7 @@ class OracleAuditor:
                 got, want = oracle.contains(event["f"]), event["member"]
             else:
                 got, want = oracle.dim, event["dim"]
-        except (BudgetExceededError, ValueError):
+        except (BudgetExceededError, UndecidableError):
             # over the cap, or a graded-route event whose generators are not
             # visibly homogeneous: the engine's word for that is not taken
             self.skipped += 1

@@ -129,3 +129,10 @@ def test_ring_file_errors_have_positions():
         parse_ring_file("vars X\nbogus line\n")
     with pytest.raises(ParseError):
         parse_ring_file("")
+
+
+@pytest.mark.parametrize("text", ["vars X Y\nweights 1\n", "vars X X\n", "vars X Y\nweights 0 1\n"])
+def test_bad_ring_without_polynomials_has_a_position(text):
+    with pytest.raises(ParseError) as err:
+        parse_ring_file(text)
+    assert "line" in str(err.value)

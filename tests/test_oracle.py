@@ -1,9 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from socleq import DEFAULT_LIMITS, FP, QQ, Ideal, RingSpec, buchberger, normal_form, parse_poly, parse_poly_list
-from socleq.errors import BudgetExceededError
+from socleq.errors import BudgetExceededError, UndecidableError
 from socleq.localring import LocalRing, check_socle_square
 from socleq.oracle import (
     Echelon,
@@ -30,7 +32,7 @@ def polys(text, r):
 
 
 def test_echelon_rank_and_span():
-    ech = Echelon(QQ, keyfn=lambda n: n)
+    ech = Echelon(QQ)
     one = QQ.from_int
     assert ech.add({1: one(1), 2: one(2)}) == 2
     assert ech.add({1: one(3)}) == 1
@@ -55,7 +57,7 @@ def test_echelon_pivots_canonical_under_row_order():
     for _ in range(6):
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        ech = Echelon(QQ, keyfn=lambda n: n)
+        ech = Echelon(QQ)
         for row in shuffled:
             ech.add(row)
         seen.add(frozenset(ech.pivots))
@@ -87,6 +89,27 @@ def test_truncated_algebra_deterministic():
     b = TruncatedAlgebra(r, list(reversed(gens)), K=5)
     assert a.basis == b.basis
     assert set(a.ech.pivots) == set(b.ech.pivots)
+
+
+def test_socle_dim_counts_every_socle_class():
+    r = RingSpec(FP(101), ["X", "Y", "Z"])
+    gens = polys("46*Z^3 + 28*X*Z - 5*Z^2", r)
+    alg = TruncatedAlgebra(r, gens, K=5)
+    # the engine's count: l(S/J) - l(S/(J : m)) for J = (g) + m^5
+    J = Ideal(r, gens + [r.from_terms({m: r.field.one}) for m in r.monomials_of_plain_degree(5)])
+    assert alg.socle_dim() == LocalRing(r, []).index_of_reducibility(J) == 9
+    # Z^3 is a pivot, so a normal form must not keep it
+    assert set(alg.nf(parse_poly("Z^4 + X*Z^3", r))) == {(0, 0, 4)}
+
+
+@pytest.mark.parametrize("name", ["almost_dvr", "triple_line", "plane_line1", "two_planes"])
+def test_normal_forms_carry_no_pivot(name):
+    z = build(name)
+    alg = TruncatedAlgebra(z.ring, list(z.local.defining.gens), K=5)
+    rng = random.Random(name)
+    for _ in range(100):
+        f = _random_poly(z.ring, rng, max_deg=4)
+        assert not set(alg.nf(f)) & set(alg.ech.pivots)
 
 
 def test_dimension_cap_is_enforced():
@@ -185,7 +208,7 @@ def test_graded_membership_agrees_with_exact_ideal(name):
 
 def test_graded_ideal_uses_weights():
     r = RingSpec(QQ, ["X", "Y"], weights=[3, 4])
-    with pytest.raises(ValueError):
+    with pytest.raises(UndecidableError):
         GradedIdeal(r, polys("X^2 - Y", r))
     # homogeneous of weighted degree 12, though not in the plain grading
     graded = GradedIdeal(r, polys("X^4 - Y^3", r))
@@ -269,6 +292,66 @@ def test_auditor_skips_oversized_instances():
     local.quotient_dim_at(Ideal(r, polys("X, Y, Z, W", r)), 5)
     assert audit.skipped == 1
     assert audit.checked == 0
+
+
+def test_auditor_lets_oracle_faults_through(monkeypatch):
+    # only refusals count as skipped; any other error is a fault to report
+    def broken(self, row):
+        raise ValueError("max() arg is an empty sequence")
+
+    monkeypatch.setattr(Echelon, "reduce", broken)
+    r = ring2()
+    local = LocalRing(r, polys("X^2, X*Y", r))
+    local.auditor = OracleAuditor(dim_cap=2000)
+    with pytest.raises(ValueError):
+        local.quotient_dim_at(Ideal(r, polys("X^2, X*Y", r)), 3)
+
+
+def test_oracle_answers_with_the_monomial_order_disabled(monkeypatch):
+    fld = FP(32003)
+    events = []
+    for name, q in (("semigroup3", "X2*X3^2"), ("plane_line2", "X^2 + Y^2, Z^2")):
+        z = build(name, fld)
+        z.local.auditor = events.append
+        check_socle_square(z.local, z.local.ideal(q))
+    graded = [e for e in events if e["K"] is None]
+    sliced = [e for e in events if e["K"] is not None][-1]
+    r, gens, K = sliced["ring"], sliced["gens"], sliced["K"]
+    # every polynomial is built before the order goes: building one sorts its terms
+    dense = r.from_terms({m: fld.one for m in r.monomials_below_plain_degree(K)})
+
+    def answers():
+        alg = TruncatedAlgebra(r, gens, K)
+        audit = OracleAuditor(dim_cap=2000)
+        for e in events:
+            audit(e)
+        return (
+            alg.dim, alg.basis, alg.nf(dense), alg.socle_dim(),
+            [GradedIdeal(e["ring"], e["gens"]).contains(e["f"]) for e in graded[:20]],
+            stable_socle_dim(r, gens, budget=10),
+            audit.summary(), audit.mismatches,
+        )
+
+    before = answers()
+
+    def no_order(self, mono, weights):
+        raise AssertionError("the oracle consulted a monomial order")
+
+    monkeypatch.setattr("socleq.ring.GrevLex.key", no_order)
+    assert answers() == before
+    assert before[-2] == {"checked": len(events), "skipped": 0, "mismatches": 0}
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    import socleq.oracle
+
+    names = set()  # modules, and names taken from them (catches `from . import groebner`)
+    for node in ast.walk(ast.parse(Path(socleq.oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+    assert not {n.rpartition(".")[2] for n in names} & {"groebner", "idealops", "localring"}
 
 
 def test_weighted_socle_check_is_fully_audited():
