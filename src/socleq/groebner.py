@@ -363,9 +363,6 @@ class Ideal:
             return True
         return not self.normal_form(f, limits)
 
-    def is_unit_ideal(self, limits: Limits = DEFAULT_LIMITS) -> bool:
-        return self.contains(self.ring.one(), limits)
-
 
 def eliminate(ideal: Ideal, keep: Iterable[str], limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """Intersection of the ideal with the subring on the kept variables."""

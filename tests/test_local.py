@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import socleq.groebner
 from socleq import FP, QQ, RingSpec, parse_poly, parse_poly_list
-from socleq.errors import InputError
+from socleq.errors import InputError, UndecidableError
 from socleq.idealops import ideal_power, ideal_product
 from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
@@ -64,6 +66,18 @@ def test_dimensions(almost_dvr, triple_line, plane_with_point, regular2):
     assert triple_line.krull_dim() == 1
     assert plane_with_point.krull_dim() == 2
     assert regular2.krull_dim() == 2
+
+
+@pytest.mark.parametrize("field", [QQ, FP(32003)])
+def test_krull_dim_of_inhomogeneous_presentation(field):
+    # without weights the dimension is certified only when it is zero: the
+    # length of A itself stabilises (Nakayama), so A is Artinian
+    r = RingSpec(field, ["X", "Y"])
+    artinian = LocalRing(r, list(parse_poly_list("X - Y^2, Y^3", r)))
+    assert artinian.krull_dim() == 0
+    curve = LocalRing(r, list(parse_poly_list("X - Y^2", r)))
+    with pytest.raises(UndecidableError):
+        curve.krull_dim()
 
 
 def test_lengths_with_certificates(almost_dvr):
@@ -167,6 +181,20 @@ def test_reduction_number(almost_dvr):
     assert almost_dvr.reduction_number(m, almost_dvr.ideal("Y")) == 1
 
 
+def test_reduction_number_refuses_an_undecided_inclusion():
+    # Q sits inside Q : m in every ring; with a two-level truncation budget
+    # the inclusion is only probed, so the answer is a refusal, not the
+    # claim that Q lies outside I
+    base = build("triple_line", FP(32003)).local
+    loc = LocalRing(base.ring, base.defining.gens, replace(DEFAULT_LIMITS, trunc_k_budget=2))
+    Q = loc.ideal("Z^2 + X")
+    I = loc.socle_of(Q)
+    got = loc.check_contained(Q, I)
+    assert got.holds is None and got.method == "truncation-probe"
+    with pytest.raises(UndecidableError):
+        loc.reduction_number(I, Q)
+
+
 def test_sop_validation(almost_dvr):
     assert almost_dvr.is_sop(almost_dvr.ideal("Y"))
     assert not almost_dvr.is_sop(almost_dvr.ideal("X, Y"))
@@ -224,3 +252,70 @@ def test_reduction_number_computes_each_basis_once(buchberger_inputs):
     assert loc.reduction_number(I, Q) == 2
     assert buchberger_inputs
     assert len(buchberger_inputs) == len(set(buchberger_inputs))
+
+
+@pytest.fixture
+def containment_calls(monkeypatch):
+    """Counts of LocalRing.check_contained and LocalRing.check_equal calls."""
+    calls = {"check_contained": 0, "check_equal": 0}
+    for name in calls:
+        real = getattr(LocalRing, name)
+
+        def counted(self, I, J, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, I, J)
+
+        monkeypatch.setattr(LocalRing, name, counted)
+    return calls
+
+
+def test_socle_square_decides_each_equality_by_one_containment(containment_calls):
+    # Q inside I, I^2 inside QI, mI inside mQ: the reverse inclusions follow
+    # from the first, so none of them is decided again
+    loc = build("triple_line", FP(32003)).local
+    report = check_socle_square(loc, loc.ideal("Z"))
+    assert report.equal is False
+    assert containment_calls == {"check_contained": 3, "check_equal": 0}
+
+
+def test_reduction_number_decides_one_containment_per_step(containment_calls):
+    loc, Q, I = _semigroup3_golden()
+    r = loc.reduction_number(I, Q)
+    assert r == 2
+    assert containment_calls == {"check_contained": r + 2, "check_equal": 0}
+
+
+def _two_sided_reference(loc, Q):
+    """The report fields as read off both inclusions of each equality."""
+    I = loc.socle_of(Q)
+    verdict = loc.check_equal(ideal_power(I, 2), ideal_product(Q, I))
+    assert verdict.equal is not None
+    m = loc.maximal()
+    m_eq = loc.check_equal(ideal_product(m, I), ideal_product(m, Q))
+    bad = verdict.forward if verdict.forward.holds is False else verdict.backward
+    level = verdict.forward.level
+    return {
+        "equal": verdict.equal,
+        "witness": bad.witness if verdict.equal is False else None,
+        "level": level if level is not None else verdict.backward.level,
+        "method": verdict.forward.method,
+        "m_I_eq_m_Q": m_eq.equal,
+    }
+
+
+REFERENCE_CASES = (
+    [("almost_dvr", q) for q in ("Y", "X + Y", "X - Y", "Y^2 - X", "Y^2",
+                                 "Y^2 + X*Y", "Y^3", "Y^3 - X*Y", "Y^4")]
+    + [("triple_line", f"Z^{n} + X*({f}) + Y*({g})")
+       for f in ("1", "X", "0") for g in ("0", "Y", "Z") for n in (1, 2, 3)]
+    + [("plane_line1", "X - Y, Y^2 - Z^2"), ("regular3", "X, Y, Z")]
+)
+
+
+@pytest.mark.parametrize("ident, qtext", REFERENCE_CASES)
+def test_socle_square_matches_the_two_sided_verdicts(ident, qtext):
+    loc = build(ident, FP(32003)).local
+    Q = loc.ideal(qtext)
+    report = check_socle_square(loc, Q)
+    got = {key: getattr(report, key) for key in ("equal", "witness", "level", "method", "m_I_eq_m_Q")}
+    assert got == _two_sided_reference(loc, Q)
