@@ -237,12 +237,16 @@ class GradedIdeal:
         ech = self._pieces.get(D)
         if ech is None:
             w = self.ring.weights
-            if sum(1 for _ in itertools.islice(_exponents(w, D), self.cap + 1)) > self.cap:
+            width = sum(1 for _ in itertools.islice(_exponents(w, D), self.cap + 1))
+            if width > self.cap:
                 raise BudgetExceededError(f"degree {D} piece is wider than the cap of {self.cap}")
             ech = Echelon(self.ring.field)
-            for d, g in self.gens:
-                for u in _exponents(w, D - d):
-                    ech.add({mono_mul(u, m): c for m, c in g.terms})
+            rows = ({mono_mul(u, m): c for m, c in g.terms}
+                    for d, g in self.gens for u in _exponents(w, D - d))
+            for row in rows:
+                ech.add(row)
+                if ech.rank == width:
+                    break  # H_D is all of degree D: every further row is dependent
             self._pieces[D] = ech
         return ech
 

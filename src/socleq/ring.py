@@ -10,6 +10,7 @@ printing and hashing canonical.
 from __future__ import annotations
 
 import itertools
+from operator import add, le, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import InputError, RingMismatchError
@@ -23,24 +24,26 @@ Monomial = tuple  # exponent tuple, one entry per variable
 
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def mono_divides(u: Monomial, v: Monomial) -> bool:
     """True when u divides v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def mono_div(u: Monomial, v: Monomial) -> Monomial:
     """u / v, assuming divisibility."""
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
+
 
 def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return tuple(map(max, u, v))
 
 
 def mono_gcd_is_one(u: Monomial, v: Monomial) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(u, v))
+    # exponents are non-negative, so a product is 0 iff one factor is
+    return not any(map(mul, u, v))
 
 
 def plain_degree(u: Monomial) -> int:
@@ -80,8 +83,7 @@ class GrevLex(MonomialOrder):
     name = "grevlex"
 
     def key(self, mono, weights):
-        wdeg = sum(e * w for e, w in zip(mono, weights))
-        return (wdeg, tuple(-e for e in reversed(mono)))
+        return (sum(map(mul, mono, weights)), tuple(map(neg, reversed(mono))))
 
 
 class Block(MonomialOrder):
@@ -108,13 +110,13 @@ class Block(MonomialOrder):
         rest = self._rest.get(len(mono))
         if rest is None:
             rest = self._rest[len(mono)] = tuple(i for i in range(len(mono)) if i not in fst)
-        head = [mono[i] for i in fst]
-        tail = [mono[i] for i in rest]
+        head = tuple(map(mono.__getitem__, fst))
+        tail = tuple(map(mono.__getitem__, rest))
         return (
-            sum(mono[i] * weights[i] for i in fst),
-            tuple(-e for e in reversed(head)),
-            sum(mono[i] * weights[i] for i in rest),
-            tuple(-e for e in reversed(tail)),
+            sum(map(mul, head, map(weights.__getitem__, fst))),
+            tuple(map(neg, reversed(head))),
+            sum(map(mul, tail, map(weights.__getitem__, rest))),
+            tuple(map(neg, reversed(tail))),
         )
 
 
@@ -165,7 +167,7 @@ class RingSpec:
         return GREVLEX
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingSpec)
             and self.field == other.field
             and self.vars == other.vars
@@ -224,7 +226,7 @@ class RingSpec:
     # -- degrees ----------------------------------------------------------------
 
     def wdeg(self, mono: Monomial) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+        return sum(map(mul, mono, self.weights))
 
     def monomials_of_plain_degree(self, k: int) -> list:
         """All exponent tuples of total degree exactly k, descending default order."""

@@ -18,6 +18,7 @@ from socleq import (
     parse_poly,
     parse_poly_list,
 )
+from socleq import groebner
 from socleq.groebner import lead_ideal_dimension, min_lead_monomials, standard_monomials_below
 from socleq.oracle import GradedIdeal
 
@@ -190,3 +191,41 @@ def test_truncated_run_empty_gens_gives_power_ideal():
     r = RingSpec(QQ, ["X", "Y"])
     basis = buchberger([], trunc=2, ring=r)
     assert [str(b) for b in basis] == ["Y^2", "X*Y", "X^2"]
+
+
+# Exact step counts of two fixed runs, measured with the generator-expression
+# monomial kernels that preceded the map kernels and lead masks.  A run may
+# spend exactly N reduction steps, so budget N succeeds and N - 1 trips; any
+# change to the sequence of reductions moves N.  The first is a truncated run
+# whose covers Z^11, X*Z^10, ... lie beyond the mask width; the second is the
+# elimination behind intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)), with leads
+# Z^10 and Y*Z^9 beyond it.  Both skip pairs by the chain criterion.
+PINNED_RUNS = [
+    (["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", {"trunc": 11}, 33,
+     ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"]),
+    (["T", "X", "Y", "Z"], "T*X^3, T*X*Y, T*Y^2 - T*X*Z, T*Z^9 + T*X, Z - T*Z",
+     {"order": Block((0,))}, 11,
+     ["Y^2*Z - X*Z^2", "X*Y*Z", "X^2*Z", "Z^10 + X*Z", "Y*Z^9", "T*Z - Z",
+      "Z^9 + T*X", "T*Y^2 - X*Z"]),
+]
+
+
+@pytest.mark.parametrize("names, text, kwargs, steps, expected", PINNED_RUNS,
+                         ids=["truncated", "elimination"])
+def test_reduction_sequence_is_pinned_by_its_step_count(monkeypatch, names, text, kwargs,
+                                                        steps, expected):
+    gens = parse_poly_list(text, RingSpec(FP(32003), names))
+    skips = []
+    chain = groebner._Engine.chain_skippable
+
+    def counted(self, i, j, lcm):
+        skipped = chain(self, i, j, lcm)
+        skips.append(skipped)
+        return skipped
+
+    monkeypatch.setattr(groebner._Engine, "chain_skippable", counted)
+    basis = buchberger(list(gens), limits=Limits(step_budget=steps), **kwargs)
+    assert [str(b) for b in basis] == expected
+    assert any(skips)
+    with pytest.raises(BudgetExceededError):
+        buchberger(list(gens), limits=Limits(step_budget=steps - 1), **kwargs)

@@ -1,6 +1,6 @@
 import pytest
 
-from socleq import QQ, Ideal, RingSpec, parse_poly, parse_poly_list
+from socleq import FP, QQ, Ideal, RingSpec, buchberger, groebner, parse_poly, parse_poly_list
 from socleq.errors import BudgetExceededError, InputError
 from socleq.idealops import (
     colon,
@@ -15,6 +15,7 @@ from socleq.idealops import (
     saturate,
     with_aux_variable,
 )
+from socleq.zoo import build
 
 
 @pytest.fixture
@@ -57,6 +58,23 @@ def test_intersect_disjoint_planes():
     J = ideal(r, "Z, W")
     got = basis_strs(intersect(I, J))
     assert sorted(got) == sorted(["X*Z", "X*W", "Y*Z", "Y*W"])
+
+
+@pytest.mark.parametrize("ident", ["almost_dvr", "triple_line", "semigroup3"])
+def test_intersect_result_is_its_own_reduced_basis(monkeypatch, ident):
+    z = build(ident, FP(32003))
+    ring, a = z.ring, z.local.defining
+    xs = ring.gens()
+    f = xs[0] + sum(x * x for x in xs)  # not weighted homogeneous
+    outs = [intersect(ideal_sum(a, Ideal(ring, [f])), Ideal(ring, [x])) for x in xs]
+    outs.append(intersect(a, ideal_power(maximal_ideal(ring), 2)))
+    calls = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *args, **kw: calls.append(args))
+    bases = [out.groebner_basis() for out in outs]
+    monkeypatch.undo()
+    assert calls == []
+    for out, basis in zip(outs, bases):
+        assert basis == tuple(buchberger(out.gens))
 
 
 def test_intersect_with_zero(rxy):

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from socleq.dsl import parse_poly_list
 from socleq.field import FP, QQ
-from socleq.groebner import Ideal, normal_form
+from socleq.groebner import MASK_WIDTH, Ideal, _Elt, _mask, normal_form
 from socleq.idealops import (
     colon,
     equal_as_s_ideals,
@@ -23,7 +23,16 @@ from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
 from socleq.oracle import TruncatedAlgebra, oracle_quotient_dim
 from socleq.probes import sample_sop
-from socleq.ring import GREVLEX, Block, RingSpec, mono_mul
+from socleq.ring import (
+    GREVLEX,
+    Block,
+    RingSpec,
+    mono_div,
+    mono_divides,
+    mono_gcd_is_one,
+    mono_lcm,
+    mono_mul,
+)
 from socleq.zoo import build
 
 
@@ -80,6 +89,71 @@ def test_order_axioms_on_random_monomials():
                 assert order.key(one, weights) < ku
     # the block order really dominates with its first block
     assert Block((0,)).key((1, 0, 0), weights) > Block((0,)).key((0, 9, 9), weights)
+
+
+def _rand_mono_pairs(rng, n, count):
+    """Pairs (u, v) of exponent tuples with entries 0..20; about half have
+    u | v, so both answers of the divisibility test come up."""
+    for _ in range(count):
+        u = tuple(rng.randrange(21) for _ in range(n))
+        if rng.random() < 0.5:
+            v = tuple(e + rng.choice((0, 0, 1, 3)) for e in u)
+        else:
+            v = tuple(rng.randrange(21) for _ in range(n))
+        yield u, v
+
+
+def test_monomial_kernels_match_reference_formulas():
+    rng = random.Random(31)
+    for n in (1, 3, 5):
+        for u, v in _rand_mono_pairs(rng, n, 1500):
+            divides = all(a <= b for a, b in zip(u, v))
+            assert mono_divides(u, v) == divides
+            assert mono_mul(u, v) == tuple(a + b for a, b in zip(u, v))
+            assert mono_lcm(u, v) == tuple(max(a, b) for a, b in zip(u, v))
+            assert mono_gcd_is_one(u, v) == all(a == 0 or b == 0 for a, b in zip(u, v))
+            if divides:
+                assert mono_div(v, u) == tuple(b - a for a, b in zip(u, v))
+
+
+def test_lead_mask_decides_divisibility_exactly():
+    rng = random.Random(37)
+    beyond = 0
+    for n in (1, 3, 5):
+        for u, v in _rand_mono_pairs(rng, n, 1500):
+            divides = all(a <= b for a, b in zip(u, v))
+            elt = _Elt(u, ())
+            passes = not elt.mask & ~_mask(v)
+            if divides:
+                assert passes  # the mask never rejects a divisor
+            if max(u) <= MASK_WIDTH:
+                assert elt.exact and passes == divides
+            else:
+                beyond += passes and not divides  # left to mono_divides
+            # the engine's test, as reduce_full and chain_skippable make it
+            assert (passes and (elt.exact or mono_divides(u, v))) == divides
+    assert beyond > 0
+
+
+def test_order_keys_match_reference_formulas():
+    weights = (3, 1, 4, 2)
+    rng = random.Random(41)
+
+    def grevlex(m):
+        return (sum(e * w for e, w in zip(m, weights)), tuple(-e for e in reversed(m)))
+
+    def block(first, m):
+        rest = [i for i in range(len(m)) if i not in first]
+        head = [m[i] for i in first]
+        tail = [m[i] for i in rest]
+        return (sum(m[i] * weights[i] for i in first), tuple(-e for e in reversed(head)),
+                sum(m[i] * weights[i] for i in rest), tuple(-e for e in reversed(tail)))
+
+    for _ in range(2000):
+        m = tuple(rng.randrange(21) for _ in weights)
+        assert GREVLEX.key(m, weights) == grevlex(m)
+        assert Block((0,)).key(m, weights) == block((0,), m)
+        assert Block((1, 2)).key(m, weights) == block((1, 2), m)
 
 
 def test_weighted_homogeneous_products():
