@@ -23,15 +23,6 @@ of high-degree cancellations (the inhomogeneous cascade), so they are real
 pairs here; only those whose lcm has total degree >= K + 2 are dropped, which
 is sound because such an lcm always admits a third degree-K divisor whose two
 sub-lcms divide it strictly, giving a well-founded chain argument.
-
-Every basis element carries a divisibility mask of its lead, a thermometer
-code of MASK_WIDTH bits per variable: bit (i, t) is set iff lead[i] > t.
-If u divides v then mask(u) & ~mask(v) == 0, and the converse holds when no
-exponent of u exceeds MASK_WIDTH; for the other leads a passing mask test is
-confirmed by mono_divides.  So the divisor scans of reduce_full and
-chain_skippable reject non-divisors early but find the same first divisor
-and reach the same chain decision as a plain scan: the masks change the cost
-of a run, never its sequence of reductions or its step count.
 """
 
 from __future__ import annotations
@@ -75,30 +66,16 @@ class _Steps:
             )
 
 
-MASK_WIDTH = 8  # bits per variable in a divisibility mask
-_THERMO = tuple((1 << t) - 1 for t in range(MASK_WIDTH + 1))
-
-
-def _mask(m: Monomial) -> int:
-    """Divisibility mask of m: bit MASK_WIDTH*i + t is set iff m[i] > t."""
-    k = 0
-    for e in reversed(m):
-        k = k << MASK_WIDTH | _THERMO[e if e < MASK_WIDTH else MASK_WIDTH]
-    return k
-
-
 class _Elt:
     """A monic basis element in working form."""
 
-    __slots__ = ("lead", "tail", "is_monomial", "cover", "mask", "exact")
+    __slots__ = ("lead", "tail", "is_monomial", "cover")
 
     def __init__(self, lead: Monomial, tail: tuple, cover: bool = False):
         self.lead = lead
         self.tail = tail  # ((mono, coeff), ...) of the non-lead terms
         self.is_monomial = not tail
         self.cover = cover  # degree-K monomial installed by a truncated run
-        self.mask = _mask(lead)
-        self.exact = max(lead) <= MASK_WIDTH  # the mask test alone decides "lead | m"
 
 
 class _OrderKeys(dict):
@@ -139,12 +116,11 @@ class _Engine:
                 self.steps.spend()
                 continue
             hit = None
-            off = ~_mask(m)
             # covers are absent from divs on purpose: they cannot divide a
             # term that survived the trunc check (it has plain degree < K,
             # the cover has exactly K)
             for elt in divs:
-                if not elt.mask & off and (elt.exact or mono_divides(elt.lead, m)):
+                if mono_divides(elt.lead, m):
                     hit = elt
                     break
             if hit is None:
@@ -210,11 +186,10 @@ class _Engine:
         return ((a, b) if a < b else (b, a)) in self.certified
 
     def chain_skippable(self, i: int, j: int, lcm: Monomial) -> bool:
-        off = ~_mask(lcm)
         for k, elt in enumerate(self.basis):
-            if elt.mask & off or k == i or k == j:
+            if k == i or k == j:
                 continue
-            if elt.exact or mono_divides(elt.lead, lcm):
+            if mono_divides(elt.lead, lcm):
                 if self._pair_ok(i, k) and self._pair_ok(j, k):
                     return True
         return False
@@ -352,6 +327,15 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(kept)
         self._cache: dict = {}
+
+    @classmethod
+    def from_reduced_basis(cls, ring: RingSpec, basis: Iterable[Polynomial]) -> Ideal:
+        """The ideal generated by basis, which must already be its reduced
+        basis in the default order of ring, ascending by lead: that basis is
+        stored, so groebner_basis() returns it without a run."""
+        ideal = cls(ring, basis)
+        ideal._cache[(ring.default_order, None)] = ideal.gens
+        return ideal
 
     def __repr__(self):
         inner = ", ".join(repr(g) for g in self.gens[:6])

@@ -108,12 +108,10 @@ def intersect(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     one = big.one()
     gens = [t * lift(g) for g in I.gens] + [(one - t) * lift(g) for g in J.gens]
     elim = eliminate(Ideal(big, gens), ring.vars, limits)
-    out = Ideal(ring, [project(g) for g in elim.gens])
     # elim.gens is the t-free part of a reduced Block((0,)) basis, and on
     # t-free monomials that order is the default order of ring: so the
-    # projected tuple already is out's reduced basis, ascending by lead
-    out._cache[(ring.default_order, None)] = out.gens
-    return out
+    # projected tuple already is the reduced basis, ascending by lead
+    return Ideal.from_reduced_basis(ring, [project(g) for g in elim.gens])
 
 
 # ---------------------------------------------------------------------------

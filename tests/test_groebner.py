@@ -194,12 +194,12 @@ def test_truncated_run_empty_gens_gives_power_ideal():
 
 
 # Exact step counts of two fixed runs, measured with the generator-expression
-# monomial kernels that preceded the map kernels and lead masks.  A run may
-# spend exactly N reduction steps, so budget N succeeds and N - 1 trips; any
-# change to the sequence of reductions moves N.  The first is a truncated run
-# whose covers Z^11, X*Z^10, ... lie beyond the mask width; the second is the
-# elimination behind intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)), with leads
-# Z^10 and Y*Z^9 beyond it.  Both skip pairs by the chain criterion.
+# monomial kernels that preceded the map kernels.  A run may spend exactly N
+# reduction steps, so budget N succeeds and N - 1 trips; any change to the
+# sequence of reductions moves N.  The first is a truncated run with covers
+# Z^11, X*Z^10, ...; the second is the elimination behind
+# intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)).  Both skip pairs by the
+# chain criterion.
 PINNED_RUNS = [
     (["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", {"trunc": 11}, 33,
      ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"]),
