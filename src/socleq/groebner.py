@@ -359,6 +359,14 @@ class Ideal:
             basis = tuple(buchberger(self.gens, key[0], limits, trunc=trunc, ring=self.ring))
         return self._cache.setdefault(key, basis)
 
+    def is_homogeneous(self, limits: Limits = DEFAULT_LIMITS) -> bool:
+        """Is the ideal weighted homogeneous for the ring's weights?
+
+        An ideal is homogeneous iff its reduced basis under the (weighted
+        degree first) default order is, whatever its generators look like.
+        """
+        return all(g.weighted_degree() is not None for g in self.groebner_basis(None, limits))
+
     def normal_form(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> Polynomial:
         basis = self.groebner_basis(None, limits)
         if not basis:

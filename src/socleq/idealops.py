@@ -2,11 +2,13 @@
 
 Everything here is exact and works in the ambient polynomial ring S; the
 local layer builds on these by always carrying the defining ideal along.
-Intersections use the classic single-auxiliary-variable elimination, colons
-use intersect-then-divide with verified exact division, and saturation
-iterates the colon until it stabilises, reporting the exponent at which it
-did.  A caller that takes many colons of related ideals may pass a colon a
-dict of its own as an intersection memo; nothing here keeps one.
+Intersections use the classic single-auxiliary-variable elimination.  A
+colon by a variable x_i of a weighted-homogeneous ideal divides the reduced
+basis taken with x_i last by x_i (Bayer-Stillman); every other colon
+intersects with (f) and divides exactly by f.  Saturation iterates the
+colon until it stabilises, reporting the exponent at which it did.  A
+caller that takes many colons of related ideals may pass a colon a dict of
+its own as an intersection memo; nothing here keeps one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExceededError, InputError, RingMismatchError
-from .groebner import Ideal, eliminate
+from .groebner import Ideal, buchberger, eliminate
 from .limits import DEFAULT_LIMITS, Limits
 from .ring import Polynomial, RingSpec, mono_div, mono_divides
 
@@ -98,6 +100,22 @@ def with_aux_variable(ring: RingSpec):
     return big, lift, project
 
 
+def with_variable_last(ring: RingSpec, i: int):
+    """Ring with the variables of ring reordered so that variable i comes
+    last, its weight moving with it; returns (moved_ring, to, back)."""
+    perm = tuple(k for k in range(ring.nvars) if k != i) + (i,)
+    inv = tuple(perm.index(k) for k in range(ring.nvars))
+    moved = RingSpec(ring.field, [ring.vars[k] for k in perm], [ring.weights[k] for k in perm])
+
+    def to(p: Polynomial) -> Polynomial:
+        return moved.from_terms((tuple(map(m.__getitem__, perm)), c) for m, c in p.terms)
+
+    def back(p: Polynomial) -> Polynomial:
+        return ring.from_terms((tuple(map(m.__getitem__, inv)), c) for m, c in p.terms)
+
+    return moved, to, back
+
+
 def intersect(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """I cap J, by eliminating t from t*I + (1 - t)*J."""
     ring = _same_ring(I, J)
@@ -156,12 +174,37 @@ def _meet(I: Ideal, J: Ideal, limits: Limits, memo: dict | None) -> Ideal:
     return out
 
 
+def _graded_colon_by_variable(I: Ideal, i: int, limits: Limits) -> Ideal:
+    """I : x_i for a weighted-homogeneous I, without elimination.
+
+    Under weighted grevlex with x_i last, x_i divides the lead of a
+    homogeneous g iff it divides g, so dividing by x_i every element of the
+    reduced basis that it divides gives a basis of I : x_i (Bayer-Stillman;
+    Eisenbud, Prop. 15.12).
+    """
+    ring = I.ring
+    basis = I.groebner_basis(None, limits)
+    back = None
+    if i != ring.nvars - 1:
+        _, to, back = with_variable_last(ring, i)
+        basis = buchberger([to(g) for g in basis], None, limits)
+    quotients = []
+    for g in basis:
+        if all(m[-1] for m, _ in g.terms):
+            # dividing every term by the last variable keeps their order
+            g = Polynomial(g.ring, tuple((m[:-1] + (m[-1] - 1,), c) for m, c in g.terms))
+        quotients.append(g if back is None else back(g))
+    return Ideal.from_reduced_basis(ring, buchberger(quotients, None, limits))
+
+
 def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
                   memo: dict | None = None) -> Ideal:
-    """(I : f) = {g : g*f in I}, via (I cap (f)) / f.
+    """(I : f) = {g : g*f in I}.
 
-    memo, when given, maps (I.gens, J.gens) to intersect(I, J) and is
-    read and filled instead of intersecting again.
+    A monic variable f on a weighted-homogeneous I takes the graded route
+    above; otherwise the colon is (I cap (f)) / f.  memo, when given, maps
+    (I.gens, J.gens) to intersect(I, J) and is read and filled instead of
+    intersecting again.
     """
     ring = I.ring
     if f.ring != ring:
@@ -170,8 +213,17 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
         return Ideal(ring, [ring.one()])
     if I.is_zero:
         return Ideal(ring, [])
+    (mono, c), *rest = f.terms
+    monic_monomial = not rest and c == ring.field.one
+    if monic_monomial and sum(mono) == 1 and I.is_homogeneous(limits):
+        return _graded_colon_by_variable(I, mono.index(1), limits)
     meet = _meet(I, Ideal(ring, [f]), limits, memo)
-    return Ideal(ring, [exact_div(g, f) for g in meet.gens])
+    quotients = [exact_div(g, f) for g in meet.gens]
+    if monic_monomial:
+        # dividing the reduced basis of I cap (x^a) by x^a keeps it reduced
+        # and ascending: it is the reduced basis of I : x^a
+        return Ideal.from_reduced_basis(ring, quotients)
+    return Ideal(ring, quotients)
 
 
 def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS,

@@ -137,13 +137,8 @@ class LocalRing:
             self.auditor(record)
 
     def _is_graded_ideal(self, I: Ideal) -> bool:
-        """Is a + I homogeneous for the ring's weights?
-
-        An ideal is homogeneous iff its reduced basis under the (weighted
-        degree first) default order is homogeneous.
-        """
-        basis = self.full(I).groebner_basis(None, self.limits)
-        return all(g.weighted_degree() is not None for g in basis)
+        """Is a + I homogeneous for the ring's weights?"""
+        return self.full(I).is_homogeneous(self.limits)
 
     # -- lengths ------------------------------------------------------------------
 

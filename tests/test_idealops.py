@@ -1,6 +1,6 @@
 import pytest
 
-from socleq import FP, QQ, Ideal, RingSpec, buchberger, groebner, parse_poly, parse_poly_list
+from socleq import FP, QQ, Ideal, Limits, RingSpec, buchberger, groebner, idealops, parse_poly, parse_poly_list
 from socleq.errors import BudgetExceededError, InputError
 from socleq.idealops import (
     colon,
@@ -14,6 +14,7 @@ from socleq.idealops import (
     maximal_ideal,
     saturate,
     with_aux_variable,
+    with_variable_last,
 )
 from socleq.zoo import build
 
@@ -151,3 +152,104 @@ def test_aux_variable_avoids_collision():
     assert str(project(lift(p))) == "T*X + 1"
     with pytest.raises(InputError):
         project(big.gens()[0])
+
+
+def test_variable_last_moves_name_and_weight():
+    r = RingSpec(QQ, ["X", "Y", "Z"], [3, 4, 5])
+    moved, to, back = with_variable_last(r, 0)
+    assert moved.vars == ("Y", "Z", "X") and moved.weights == (4, 5, 3)
+    p = parse_poly("X^2*Y + 2*Z - 1", r)
+    assert str(to(p)) == "Y*X^2 + 2*Z - 1"
+    assert back(to(p)) == p
+
+
+def _elimination_colon(I, x):
+    """The reference I : x, as (I cap (x)) / x."""
+    meet = intersect(I, Ideal(I.ring, [x]))
+    return tuple(exact_div(g, x) for g in meet.gens)
+
+
+def _no_intersect(*args, **kw):
+    raise AssertionError("a graded colon by a variable must not intersect")
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("ident, extra", [
+    ("semigroup3", ""),
+    ("semigroup3", "X1^2*X2"),
+    ("semigroup3", "X1^3 + X2*X3, X3^2"),
+    ("triple_line", ""),
+    ("triple_line", "Z^3"),
+    ("triple_line", "X*Z + Y*Z, Z^4"),
+    ("quadric_cone", "X^2 - Y*Z, Y^3"),
+])
+def test_graded_colon_by_variable_matches_elimination(monkeypatch, field, ident, extra):
+    z = build(ident, field)
+    ring = z.ring
+    I = ideal_sum(z.local.defining, Ideal(ring, parse_poly_list(extra, ring) if extra else []))
+    assert I.is_homogeneous()
+    want = [_elimination_colon(I, x) for x in ring.gens()]
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    for x, ref in zip(ring.gens(), want):
+        got = colon_by_poly(I, x)
+        assert got.gens == ref
+        assert got.groebner_basis() == tuple(buchberger(ref))
+
+
+def test_inhomogeneous_colon_by_variable_eliminates(monkeypatch, rxy):
+    I = ideal(rxy, "X - Y^2, Y^3")
+    assert not I.is_homogeneous()
+    calls = []
+    monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
+    out = colon_by_poly(I, parse_poly("Y", rxy))
+    assert len(calls) == 1
+    assert [str(g) for g in out.gens] == ["X", "Y^2"]
+
+
+def test_homogeneous_ideal_with_inhomogeneous_generators_takes_graded_route(monkeypatch, rxy):
+    I = ideal(rxy, "X + Y^2, Y^2")
+    assert I.is_homogeneous()
+    want = [_elimination_colon(I, x) for x in rxy.gens()]
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    got = [colon_by_poly(I, x).gens for x in rxy.gens()]
+    assert got == want
+    assert [str(g) for g in got[1]] == ["Y", "X"]
+
+
+@pytest.mark.parametrize("f, stored", [("Y", True), ("Y*Z", True), ("2*Y*Z", False)])
+@pytest.mark.parametrize("gens", ["X - Y^2, Y^3 + Z^2, X*Z", "X^2 - Y*Z, Y^3, X*Z^2"])
+def test_monomial_colon_stores_its_reduced_basis(monkeypatch, gens, f, stored):
+    r = RingSpec(FP(32003), ["X", "Y", "Z"])
+    I, f = ideal(r, gens), parse_poly(f, r)
+    out = colon_by_poly(I, f)
+    assert out.gens == _elimination_colon(I, f)
+    calls = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *args, **kw: calls.append(args) or buchberger(*args, **kw))
+    basis = out.groebner_basis()
+    assert (calls == []) == stored  # a non-monic monomial leaves non-monic quotients
+    assert basis == tuple(buchberger(out.gens))
+
+
+def test_colon_by_maximal_ideal_intersects_only_the_partial_colons(monkeypatch, rxyz):
+    I = ideal(rxyz, "X^3, X*Y, Y^2 - X*Z, Z^4")
+    want = colon(I, maximal_ideal(rxyz)).gens
+    calls = []
+    monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
+    assert colon(I, maximal_ideal(rxyz)).gens == want
+    assert len(calls) == 2  # the meets of three colons by a variable; none inside them
+
+
+def test_graded_colon_by_variable_keeps_the_step_budget(monkeypatch):
+    z = build("triple_line", FP(32003))
+    I = z.local.defining
+    I.groebner_basis()
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    with pytest.raises(BudgetExceededError):
+        colon_by_poly(I, z.ring.gens()[0], Limits(step_budget=1))
+    # both of the route's bases, with x_i moved last and of the quotients,
+    # run under the caller's limits
+    limits, seen = Limits(step_budget=10_000), []
+    monkeypatch.setattr(idealops, "buchberger",
+                        lambda gens, order, lim: seen.append(lim) or buchberger(gens, order, lim))
+    colon_by_poly(I, z.ring.gens()[0], limits)
+    assert seen == [limits, limits]
