@@ -278,6 +278,35 @@ def buchberger(
     return [ring.from_terms(terms) for terms in eng.reduced_basis()]
 
 
+def normal_forms(
+    fs: Iterable[Polynomial],
+    basis: Sequence[Polynomial],
+    limits: Limits = DEFAULT_LIMITS,
+    trunc: int | None = None,
+):
+    """Yield the remainder of each f in fs on full division by the
+    (Groebner) basis, under the ring's default order, one f at a time.
+
+    The divisor list is built once, on the first f; each f gets its own
+    step budget, exactly as one normal_form call would.
+    """
+    eng = None
+    for f in fs:
+        if eng is None:
+            ring, fld = f.ring, f.ring.field
+            eng = _Engine(ring, ring.default_order, None, trunc)
+            for g in basis:
+                if g.ring != ring:
+                    raise RingMismatchError("basis element from a different ring")
+                lead, lc = g.lead()
+                inv = fld.inv(lc)
+                eng.divs.append(_Elt(lead, tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)))
+        elif f.ring != ring:
+            raise RingMismatchError("polynomials from different rings")
+        eng.steps = _Steps(limits.step_budget)
+        yield ring.from_terms(eng.reduce_full(dict(f.terms)))
+
+
 def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
@@ -286,20 +315,7 @@ def normal_form(
 ) -> Polynomial:
     """Remainder of f on full division by the (Groebner) basis, under the
     ring's default order."""
-    ring = f.ring
-    steps = _Steps(limits.step_budget)
-    eng = _Engine(ring, ring.default_order, steps, trunc)
-    fld = ring.field
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError("basis element from a different ring")
-        lead, lc = g.lead()
-        inv = fld.inv(lc)
-        tail = tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)
-        elt = _Elt(lead, tail)
-        eng.basis.append(elt)
-        eng.divs.append(elt)
-    return ring.from_terms(eng.reduce_full(dict(f.terms)))
+    return next(normal_forms((f,), basis, limits, trunc))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Everything here is exact and works in the ambient polynomial ring S; the
 local layer builds on these by always carrying the defining ideal along.
 Intersections use the classic single-auxiliary-variable elimination.  A
-colon by a variable x_i of a weighted-homogeneous ideal divides the reduced
-basis taken with x_i last by x_i (Bayer-Stillman); every other colon
-intersects with (f) and divides exactly by f.  Saturation iterates the
-colon until it stabilises, reporting the exponent at which it did.  A
-caller that takes many colons of related ideals may pass a colon a dict of
-its own as an intersection memo; nothing here keeps one.
+colon by a variable x_i, or by c*x_i, of a weighted-homogeneous ideal
+divides the reduced basis taken with x_i last by x_i (Bayer-Stillman), and
+then by c; every other colon intersects with (f) and divides exactly by f.
+Saturation iterates the colon until it stabilises, reporting the exponent
+at which it did.  A caller that takes many colons of related ideals may
+pass a colon a dict of its own as an intersection memo; nothing here keeps
+one.
 """
 
 from __future__ import annotations
@@ -183,11 +184,14 @@ def _graded_colon_by_variable(I: Ideal, i: int, limits: Limits) -> Ideal:
     Eisenbud, Prop. 15.12).
     """
     ring = I.ring
-    basis = I.groebner_basis(None, limits)
+    basis = reduced = I.groebner_basis(None, limits)
     back = None
     if i != ring.nvars - 1:
         _, to, back = with_variable_last(ring, i)
         basis = buchberger([to(g) for g in basis], None, limits)
+    if not any(all(m[-1] for m, _ in g.terms) for g in basis):
+        # x_i divides no basis element, so I : x_i = I
+        return Ideal.from_reduced_basis(ring, reduced)
     quotients = []
     for g in basis:
         if all(m[-1] for m, _ in g.terms):
@@ -201,10 +205,11 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
                   memo: dict | None = None) -> Ideal:
     """(I : f) = {g : g*f in I}.
 
-    A monic variable f on a weighted-homogeneous I takes the graded route
-    above; otherwise the colon is (I cap (f)) / f.  memo, when given, maps
-    (I.gens, J.gens) to intersect(I, J) and is read and filled instead of
-    intersecting again.
+    A variable c*x_i on a weighted-homogeneous I takes the graded route
+    above, its output scaled by 1/c (then no longer monic, so not stored as
+    a reduced basis); otherwise the colon is (I cap (f)) / f.  memo, when
+    given, maps (I.gens, J.gens) to intersect(I, J) and is read and filled
+    instead of intersecting again.
     """
     ring = I.ring
     if f.ring != ring:
@@ -215,8 +220,12 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
         return Ideal(ring, [])
     (mono, c), *rest = f.terms
     monic_monomial = not rest and c == ring.field.one
-    if monic_monomial and sum(mono) == 1 and I.is_homogeneous(limits):
-        return _graded_colon_by_variable(I, mono.index(1), limits)
+    if not rest and sum(mono) == 1 and I.is_homogeneous(limits):
+        out = _graded_colon_by_variable(I, mono.index(1), limits)
+        if monic_monomial:
+            return out
+        inv = ring.field.inv(c)
+        return Ideal(ring, [g.scale(inv) for g in out.gens])
     meet = _meet(I, Ideal(ring, [f]), limits, memo)
     quotients = [exact_div(g, f) for g in meet.gens]
     if monic_monomial:

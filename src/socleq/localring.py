@@ -23,6 +23,13 @@ every local question is answered by one of three certified routes:
 Lengths of finite modules W/b with m^N W inside b are ranks of finitely many
 normal forms, taken over the monomial multipliers of degree below N.
 
+Socle: when a + Q is homogeneous with a zero-dimensional lead ideal, S/(a + Q)
+is graded Artinian, so (a + Q) : m is a + Q plus the lifts of the socle of
+S/(a + Q), the common kernel of multiplication by the variables on its
+standard monomials (the multiplication-matrix view of FGLM).  One row
+reduction finds that kernel and one basis run adds it; no elimination is
+needed.  Every other Q is divided by m with the general colon.
+
 Basis store: a LocalRing interns each S-ideal a + J by its deduplicated
 generator tuple, and the Ideal caches its bases by truncation (None or K), so
 every basis the ring reads is computed once.  The store lives and dies with
@@ -36,9 +43,10 @@ from dataclasses import dataclass
 from .errors import InputError, UndecidableError
 from .groebner import (
     Ideal,
+    buchberger,
     lead_ideal_dimension,
     min_lead_monomials,
-    normal_form,
+    normal_forms,
     standard_monomials_below,
 )
 from .idealops import (
@@ -50,7 +58,7 @@ from .idealops import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import Echelon
-from .ring import Polynomial, RingSpec
+from .ring import Polynomial, RingSpec, mono_mul
 
 
 @dataclass(frozen=True)
@@ -182,22 +190,36 @@ class LocalRing:
         lies inside the ideal at level = that maximum + 1.
         """
         full = self.full(I)
-        basis = full.groebner_basis(None, self.limits)
+        std = self._standard_monomials(full.groebner_basis(None, self.limits))
+        if std is None:
+            return None
+        if not std:
+            return StableLength(0, 1)
+        level = 1 + max(self.ring.wdeg(m) for m in std)
+        self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens,
+                    "K": level, "dim": len(std)})
+        return StableLength(len(std), level)
+
+    def _standard_monomials(self, basis) -> list | None:
+        """The standard monomials of a reduced basis whose lead ideal has
+        dimension at most 0 (none for the unit ideal), or None when it has
+        positive dimension.
+
+        Each variable has a pure power among the leads, and a monomial whose
+        exponent of x_i reaches that power is not standard, so every
+        standard monomial has plain degree below 1 + sum(power_i - 1).
+        """
         dim = lead_ideal_dimension(basis, self.ring)
         if dim > 0:
             return None
         if dim < 0:
-            return StableLength(0, 1)
+            return []
         leads = min_lead_monomials(basis)
         bound = 1
         for i in range(self.ring.nvars):
             pure = [m[i] for m in leads if sum(m) == m[i]]
             bound += min(pure) - 1
-        std = standard_monomials_below(leads, self.ring, bound, cap=self.limits.dim_cap)
-        level = 1 + max((self.ring.wdeg(m) for m in std), default=0)
-        self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens,
-                    "K": level, "dim": len(std)})
-        return StableLength(len(std), level)
+        return standard_monomials_below(leads, self.ring, bound, cap=self.limits.dim_cap)
 
     def require_length(self, I: Ideal, what: str = "quotient") -> StableLength:
         got = self.length_of_quotient(I)
@@ -215,13 +237,15 @@ class LocalRing:
 
     # -- membership and containment -------------------------------------------------
 
-    def _nf_member(self, f: Polynomial, target: Ideal, K: int | None) -> bool:
-        """Is f in the interned S-ideal target (+ m^K when K is given)?
-        Decided by normal form."""
+    def _nf_members(self, fs, target: Ideal, K: int | None):
+        """Yield (f, whether f is in the interned S-ideal target, + m^K when
+        K is given) for each f in fs, decided by normal form as it is asked
+        for, with one membership event each."""
         basis = target.groebner_basis(None, self.limits, trunc=K)
-        member = not normal_form(f, basis, self.limits, trunc=K)
-        self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})
-        return member
+        for f, rem in zip(fs, normal_forms(fs, basis, self.limits, trunc=K)):
+            member = not rem
+            self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})
+            yield f, member
 
     def check_contained(self, I: Ideal, J: Ideal) -> Containment:
         """Does IA sit inside JA?  Certified wherever possible; a negative
@@ -235,8 +259,8 @@ class LocalRing:
             # probe: refutation is certified, confirmation is not available
             method, levels = "truncation-probe", range(1, self.limits.trunc_k_budget + 1)
         for K in levels:
-            for g in I.gens:
-                if not self._nf_member(g, target, K):
+            for g, member in self._nf_members(I.gens, target, K):
+                if not member:
                     return Containment(False, method, witness=g, level=K)
         holds = None if method == "truncation-probe" else True
         return Containment(holds, method, level=levels[-1] if levels else 0)
@@ -319,8 +343,44 @@ class LocalRing:
         return True
 
     def socle_of(self, Q: Ideal) -> Ideal:
-        """S-level representative of (QA : m), the socle enlargement of Q."""
-        return colon(self.full(Q), self.maximal(), self.limits)
+        """S-level representative of (QA : m), the socle enlargement of Q.
+
+        When a + Q is weighted homogeneous with a lead ideal of dimension at
+        most 0, S/(a + Q) is graded Artinian and (a + Q) : m is a + Q plus
+        the lifts of its socle: the common kernel of multiplication by the
+        variables on the standard monomials b.  The kernel is read off the
+        echelon of the rows (0, b) + (1, j, x_j*b reduced): every label
+        (1, ...) sorts above every (0, ...), so a stored row whose pivot
+        starts with 0 has no multiplication part left, and these rows span
+        the kernel.
+        Every other Q is divided by m with `colon`.
+        """
+        full = self.full(Q)
+        std = None
+        if self._is_graded_ideal(Q):
+            basis = full.groebner_basis(None, self.limits)
+            std = self._standard_monomials(basis)
+        if std is None:
+            return colon(full, self.maximal(), self.limits)
+        ring, one = self.ring, self.ring.field.one
+        units = [tuple(int(k == j) for k in range(ring.nvars)) for j in range(ring.nvars)]
+        standard = set(std)
+        # a standard x_j*b is its own normal form; the others are reduced once each
+        pending = dict.fromkeys(p for b in std for u in units
+                                if (p := mono_mul(b, u)) not in standard)
+        reduced = {p: rem.terms for p, rem in zip(pending, normal_forms(
+            (ring.from_terms({p: one}) for p in pending), basis, self.limits))}
+        ech = Echelon(ring.field)
+        for b in std:
+            row = {(0, b): one}
+            for j, u in enumerate(units):
+                p = mono_mul(b, u)
+                for m, c in reduced.get(p, ((p, one),)):
+                    row[(1, j, m)] = c
+            ech.add(row)
+        lifts = [ring.from_terms({label[1]: c for label, c in row.items()})
+                 for pivot, row in ech.pivots.items() if pivot[0] == 0]
+        return Ideal.from_reduced_basis(ring, buchberger(list(basis) + lifts, None, self.limits))
 
     def index_of_reducibility(self, Q: Ideal) -> int:
         """dim_k of the socle of A/QA = len((Q : m)/Q)."""
@@ -337,14 +397,15 @@ class LocalRing:
         if N == 0:
             return W, 0, 0
         basis = self.defining.groebner_basis(None, self.limits)
-        kept = [w for w in W.gens if normal_form(w, basis, self.limits)]
+        kept = [w for w, rem in zip(W.gens, normal_forms(W.gens, basis, self.limits)) if rem]
         W = Ideal(self.ring, kept)
         # m^N W sits inside a, so W/a is spanned by w * (monomials of degree < N)
+        one = self.ring.field.one
+        spanning = (w.mul_term(mono, one) for w in W.gens
+                    for mono in self.ring.monomials_below_plain_degree(N))
         ech = Echelon(self.ring.field)
-        for w in W.gens:
-            for mono in self.ring.monomials_below_plain_degree(N):
-                f = w.mul_term(mono, self.ring.field.one)
-                ech.add(dict(normal_form(f, basis, self.limits).terms))
+        for rem in normal_forms(spanning, basis, self.limits):
+            ech.add(dict(rem.terms))
         return W, ech.rank, N
 
     def h0_length(self) -> int:

@@ -1,5 +1,6 @@
 """Buchberger engine: reduced bases, normal forms, elimination, budgets."""
 
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,12 @@ from socleq import (
     parse_poly_list,
 )
 from socleq import groebner
-from socleq.groebner import lead_ideal_dimension, min_lead_monomials, standard_monomials_below
+from socleq.groebner import (
+    lead_ideal_dimension,
+    min_lead_monomials,
+    normal_forms,
+    standard_monomials_below,
+)
 from socleq.oracle import GradedIdeal
 
 
@@ -62,6 +68,41 @@ def test_membership_and_normal_form(rxy):
     assert not J.contains(parse_poly("Y^4", rxy))
     assert J.normal_form(parse_poly("X^2 + Y", rxy)) == parse_poly("Y", rxy)
     assert J.normal_form(rxy.zero()) == rxy.zero()
+
+
+def _each_normal_form(fs, basis, limits, trunc):
+    """normal_form of each f in turn, None where it exceeds the budget."""
+    out = []
+    for f in fs:
+        try:
+            out.append(normal_form(f, basis, limits, trunc))
+        except BudgetExceededError:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("trunc", [None, 7])
+def test_normal_forms_spend_one_budget_per_element(trunc):
+    r = RingSpec(FP(32003), ["X", "Y", "Z"])
+    gens = parse_poly_list("X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", r)
+    basis = buchberger(list(gens), trunc=trunc)
+    fs = parse_poly_list("Z^2, Y^3*Z^3 - X^2, X*Z^3 + Y^3, Y^5 + Z^5, Z^6 + Y*Z", r)
+    full = _each_normal_form(fs, basis, Limits(), trunc)
+    assert list(normal_forms(fs, basis, Limits(), trunc)) == full
+    assert list(normal_forms([], basis)) == []
+    # each element gets the whole budget: normal_forms stops exactly where
+    # the first single call runs out, and not before
+    hit = 0
+    for budget in range(6):
+        want = _each_normal_form(fs, basis, Limits(step_budget=budget), trunc)
+        got = []
+        with pytest.raises(BudgetExceededError) if None in want else nullcontext():
+            for rem in normal_forms(iter(fs), basis, Limits(step_budget=budget), trunc):
+                got.append(rem)
+        stop = want.index(None) if None in want else len(want)
+        assert got == want[:stop]
+        hit += 0 < stop < len(want)
+    assert hit  # some budget lets early elements through and stops a later one
 
 
 def test_unit_ideal(rxy):

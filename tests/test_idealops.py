@@ -253,3 +253,39 @@ def test_graded_colon_by_variable_keeps_the_step_budget(monkeypatch):
                         lambda gens, order, lim: seen.append(lim) or buchberger(gens, order, lim))
     colon_by_poly(I, z.ring.gens()[0], limits)
     assert seen == [limits, limits]
+
+
+@pytest.mark.parametrize("gens, var, moved", [("Y^2 - Z^2, Y*Z^2", "X", True),
+                                              ("X^2 - Y^2, X*Y^2", "Z", False)])
+def test_graded_colon_by_a_nonzerodivisor_is_the_ideal(monkeypatch, rxyz, gens, var, moved):
+    I, x = ideal(rxyz, gens), parse_poly(var, rxyz)
+    want = _elimination_colon(I, x)
+    assert want == I.groebner_basis()
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    seen = []
+    monkeypatch.setattr(idealops, "buchberger",
+                        lambda gens, order, lim: seen.append(gens) or buchberger(gens, order, lim))
+    out = colon_by_poly(I, x)
+    assert out.gens == want
+    # only the basis with x last is computed, and the output is stored
+    assert len(seen) == int(moved)
+    runs = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *a, **kw: runs.append(a))
+    assert out.groebner_basis() == want and runs == []
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("f", ["3*X", "-Y", "5*Z"])
+@pytest.mark.parametrize("gens", ["X^2 - Y*Z, Y^3, X*Z^2", "X*Y, X*Z, Y^2 - Z^2"])
+def test_graded_colon_by_a_scaled_variable_matches_elimination(monkeypatch, field, gens, f):
+    r = RingSpec(field, ["X", "Y", "Z"])
+    I, f = ideal(r, gens), parse_poly(f, r)
+    want = _elimination_colon(I, f)
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    out = colon_by_poly(I, f)
+    assert out.gens == want
+    calls = []
+    monkeypatch.setattr(groebner, "buchberger", lambda *args, **kw: calls.append(args) or buchberger(*args, **kw))
+    # the scaled generators are not monic, so they are not stored as a basis
+    assert out.groebner_basis() == tuple(buchberger(want))
+    assert calls

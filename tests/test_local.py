@@ -3,9 +3,9 @@ from dataclasses import replace
 import pytest
 
 import socleq.groebner
-from socleq import FP, QQ, RingSpec, parse_poly, parse_poly_list
+from socleq import FP, QQ, RingSpec, idealops, localring, parse_poly, parse_poly_list
 from socleq.errors import InputError, UndecidableError
-from socleq.idealops import ideal_power, ideal_product
+from socleq.idealops import colon, ideal_power, ideal_product, intersect
 from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
 from socleq.zoo import build
@@ -319,3 +319,92 @@ def test_socle_square_matches_the_two_sided_verdicts(ident, qtext):
     report = check_socle_square(loc, Q)
     got = {key: getattr(report, key) for key in ("equal", "witness", "level", "method", "m_I_eq_m_Q")}
     assert got == _two_sided_reference(loc, Q)
+
+
+def _no_intersect(*args, **kw):
+    raise AssertionError("the socle of a graded Artinian quotient must not intersect")
+
+
+SOCLE_CASES = [
+    ("semigroup3", "X1"),
+    ("semigroup3", "X2*X3^2"),
+    ("semigroup3", "X1^3 + X2*X3"),
+    ("triple_line", "Z"),
+    ("triple_line", "Z^3 + X*Z^2"),
+    ("quadric_cone", "X, Y"),
+    ("quadric_cone", "X + Y, Z^3"),
+    ("plane_line2", "X - Y, Z^2"),
+    ("plane_line2", "Y, X^2 + Z^2"),
+    ("two_planes", "X - Z, Y - W"),
+    ("two_planes", "X^2 - Z^2, Y*W + Y^2 - W^2"),
+    ("regular3", "X, Y, Z"),
+]
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("ident, qtext", SOCLE_CASES)
+def test_graded_artinian_socle_matches_the_colon(monkeypatch, field, ident, qtext):
+    loc = build(ident, field).local
+    Q = loc.ideal(qtext)
+    want = colon(loc.full(Q), loc.maximal())
+    loc = build(ident, field).local
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    got = loc.socle_of(Q)
+    assert got.gens == want.gens
+    if ident == "regular3":
+        assert [str(g) for g in got.gens] == ["1"]
+    # the output carries its reduced basis
+    runs = []
+    monkeypatch.setattr(socleq.groebner, "buchberger", lambda *a, **kw: runs.append(a))
+    assert got.groebner_basis() == got.gens and runs == []
+
+
+def test_graded_artinian_socle_reduces_each_product_once(monkeypatch):
+    # x_j*b with b standard is its own normal form when it is standard, so
+    # only the other products are reduced, each of them once
+    loc = build("semigroup3", FP(32003)).local
+    Q = loc.ideal("X2*X3^2")
+    seen = []
+    real = localring.normal_forms
+
+    def recorded(fs, basis, limits, trunc=None):
+        fs = list(fs)
+        for f, rem in zip(fs, real(fs, basis, limits, trunc)):
+            seen.append((f, rem))
+            yield rem
+
+    monkeypatch.setattr(localring, "normal_forms", recorded)
+    loc.socle_of(Q)
+    assert seen
+    assert len({f for f, _ in seen}) == len(seen)
+    assert all(len(f.terms) == 1 and rem != f for f, rem in seen)
+
+
+def test_graded_artinian_socle_emits_no_audit_event(monkeypatch):
+    loc = build("semigroup3", FP(32003)).local
+    events = []
+    loc.auditor = events.append
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    I = loc.socle_of(loc.ideal("X1"))
+    assert I.gens and events == []
+
+
+def test_inhomogeneous_socle_still_intersects(monkeypatch):
+    loc = build("almost_dvr", FP(32003)).local
+    Q = loc.ideal("Y^2 - X")
+    calls = []
+    monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
+    I = loc.socle_of(Q)
+    assert calls
+    assert I.gens == colon(loc.full(Q), loc.maximal()).gens
+
+
+def test_containment_tests_generators_in_order_up_to_the_first_miss():
+    loc = build("triple_line", FP(32003)).local
+    events = []
+    loc.auditor = events.append
+    I = loc.ideal("Z^2, X*Z, Y, Z^3, X^2")
+    got = loc.check_contained(I, loc.ideal("Z^2, X"))
+    assert got.holds is False and str(got.witness) == "Y"
+    assert [str(e["f"]) for e in events] == ["Z^2", "X*Z", "Y"]
+    assert all(e["kind"] == "membership" for e in events)
