@@ -23,12 +23,23 @@ of high-degree cancellations (the inhomogeneous cascade), so they are real
 pairs here; only those whose lcm has total degree >= K + 2 are dropped, which
 is sound because such an lcm always admits a third degree-K divisor whose two
 sub-lcms divide it strictly, giving a well-founded chain argument.
+
+Covers need no scan.  Every monomial of plain degree K is a cover, and every
+other lead has plain degree < K, because reduction deletes the terms of
+degree >= K.  So the covers that divide a monomial u of degree K + e are
+exactly its divisors of degree K: none when e < 0, u itself when e = 0, and
+u / x_v for each v in the support of u when e = 1; only e >= 2, which is
+rare, lists them by a scan.  Nor does a cover ever divide another lead: the
+other covers are different monomials of the same degree and every other lead
+has a smaller one.  So the chain criterion and the minimality test of the
+reduced basis scan only the non-cover elements and look the covers up.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InputError, RingMismatchError
@@ -39,6 +50,7 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     RingSpec,
+    exponent_tuples,
     mono_div,
     mono_divides,
     mono_gcd_is_one,
@@ -99,6 +111,7 @@ class _Engine:
         self.trunc = trunc
         self.basis: list[_Elt] = []
         self.divs: list[_Elt] = []  # basis minus covers, the divisor scan list
+        self.cover_at: dict = {}  # cover monomial -> its index in basis
         self.pairs: list = []  # heap of (wdeg(lcm), i, j, lcm)
         self.certified: set = set()
 
@@ -120,7 +133,7 @@ class _Engine:
             # term that survived the trunc check (it has plain degree < K,
             # the cover has exactly K)
             for elt in divs:
-                if mono_divides(elt.lead, m):
+                if all(map(le, elt.lead, m)):
                     hit = elt
                     break
             if hit is None:
@@ -144,8 +157,10 @@ class _Engine:
 
         Covers are added before any generator, so the only existing elements
         are other covers and those pairs are monomial-monomial (S identically
-        zero); no pair bookkeeping is needed.
+        zero); no pair bookkeeping is needed.  So covers are basis[:C] and
+        divs is basis[C:] for the C = len(cover_at) covers.
         """
+        self.cover_at[mono] = len(self.basis)
         self.basis.append(_Elt(mono, (), cover=True))
 
     def insert(self, acc: dict) -> None:
@@ -186,12 +201,31 @@ class _Engine:
         return ((a, b) if a < b else (b, a)) in self.certified
 
     def chain_skippable(self, i: int, j: int, lcm: Monomial) -> bool:
-        for k, elt in enumerate(self.basis):
+        """Does some third element k, with lead(k) dividing lcm, have both
+        (i, k) and (j, k) known to reduce to zero?"""
+        pair_ok = self._pair_ok
+        for k, elt in enumerate(self.divs, len(self.cover_at)):
             if k == i or k == j:
                 continue
-            if mono_divides(elt.lead, lcm):
-                if self._pair_ok(i, k) and self._pair_ok(j, k):
+            if all(map(le, elt.lead, lcm)):
+                if pair_ok(i, k) and pair_ok(j, k):
                     return True
+        if self.trunc is None:
+            return False
+        # the covers dividing lcm, looked up (see the module docstring)
+        cover_at = self.cover_at
+        excess = plain_degree(lcm) - self.trunc
+        if excess < 0:
+            return False
+        if excess == 0:
+            found = (cover_at[lcm],)
+        elif excess == 1:
+            found = [cover_at[lcm[:v] + (e - 1,) + lcm[v + 1:]] for v, e in enumerate(lcm) if e]
+        else:
+            found = [k for c, k in cover_at.items() if all(map(le, c, lcm))]
+        for k in found:
+            if k != i and k != j and pair_ok(i, k) and pair_ok(j, k):
+                return True
         return False
 
     def run(self) -> None:
@@ -224,19 +258,22 @@ class _Engine:
         """Interreduce to the unique reduced basis (monic, tails irreducible),
         as term lists ascending by lead."""
         keyf = self.keyf
-        live = sorted(range(len(self.basis)), key=lambda i: keyf(self.basis[i].lead))
-        kept: list[int] = []
-        for i in live:
-            li = self.basis[i].lead
-            if not any(mono_divides(self.basis[k].lead, li) for k in kept):
-                kept.append(i)
+        live = sorted(self.basis, key=lambda elt: keyf(elt.lead))
+        kept: list[_Elt] = []
+        divs: list[_Elt] = []  # the kept non-cover elements
+        for elt in live:
+            # a cover divides no other lead, so only non-covers can reject
+            li = elt.lead
+            if not any(all(map(le, d.lead, li)) for d in divs):
+                kept.append(elt)
+                if not elt.cover:
+                    divs.append(elt)
         # the run is over: divs becomes the kept non-cover elements (lead(i)
         # divides no monomial below it, so it never fires on its own tail)
-        self.divs = [self.basis[k] for k in kept if not self.basis[k].cover]
+        self.divs = divs
         one = self.ring.field.one
         out = []
-        for i in kept:
-            elt = self.basis[i]
+        for elt in kept:
             out.append([(elt.lead, one), *self.reduce_full(dict(elt.tail)).items()])
         return out  # kept is ascending by lead already
 
@@ -269,8 +306,7 @@ def buchberger(
     if trunc is not None:
         if trunc < 1:
             raise InputError("truncation degree must be at least 1")
-        keyf = eng.keyf
-        for mono in sorted(ring.monomials_of_plain_degree(trunc), key=keyf):
+        for mono in sorted(exponent_tuples(ring.nvars, trunc), key=eng.keyf):
             eng.add_cover(mono)
     for g in gens:
         eng.insert(dict(g.terms))
@@ -427,14 +463,46 @@ def min_lead_monomials(basis: Sequence[Polynomial]) -> list:
 
 
 def standard_monomials_below(leads: Sequence[Monomial], ring: RingSpec, k: int, cap: int | None = None) -> list:
-    """Monomials of total degree < k outside the monomial ideal of the leads."""
+    """Monomials of total degree < k outside the monomial ideal of the leads,
+    ascending by plain degree and descending in the default order within one.
+
+    A staircase walk: the exponents are chosen one variable at a time, and
+    x_i is raised only until the partial monomial x_0^e_0 ... x_i^e_i is
+    divisible by a lead, since so is every monomial above it.  A lead first
+    divides a partial monomial at the last variable of its support, so it is
+    tested there only.  The leads need not be minimal.
+    """
+    n = ring.nvars
+    ending = [[] for _ in range(n)]  # the leads by last variable of their support
+    for lead in leads:
+        support = [i for i, e in enumerate(lead) if e]
+        if not support:
+            return []  # the unit ideal
+        ending[support[-1]].append(lead)
+    by_degree: list = [[] for _ in range(k)]
+    count = 0
+
+    def walk(prefix: tuple, left: int) -> None:
+        nonlocal count
+        i = len(prefix)
+        # map stops at the end of the prefix: only x_0 .. x_{i-1} are compared
+        stop = min((lead[i] for lead in ending[i] if all(map(le, lead, prefix))), default=left + 1)
+        for e in range(min(stop, left + 1)):
+            mono = prefix + (e,)
+            if i + 1 < n:
+                walk(mono, left - e)
+                continue
+            count += 1
+            if cap is not None and count > cap:
+                raise BudgetExceededError(f"standard monomial count exceeded cap {cap}")
+            by_degree[k - 1 - left + e].append(mono)
+
+    walk((), k - 1)
+    key, weights = ring.default_order.key, ring.weights
     out = []
-    for d in range(k):
-        for m in ring.monomials_of_plain_degree(d):
-            if not any(mono_divides(l, m) for l in leads):
-                out.append(m)
-                if cap is not None and len(out) > cap:
-                    raise BudgetExceededError(f"standard monomial count exceeded cap {cap}")
+    for monos in by_degree:
+        monos.sort(key=lambda m: key(m, weights), reverse=True)
+        out += monos
     return out
 
 

@@ -45,7 +45,6 @@ from .groebner import (
     Ideal,
     buchberger,
     lead_ideal_dimension,
-    min_lead_monomials,
     normal_forms,
     standard_monomials_below,
 )
@@ -133,8 +132,11 @@ class LocalRing:
         return maximal_ideal(self.ring)
 
     def _intern(self, gens) -> Ideal:
-        fresh = Ideal(self.ring, gens)
-        return self._ideals.setdefault(fresh.gens, fresh)
+        key = tuple(dict.fromkeys(g for g in gens if g))
+        got = self._ideals.get(key)
+        if got is None:  # a miss builds the Ideal, which checks the ring
+            got = self._ideals[key] = Ideal(self.ring, key)
+        return got
 
     def full(self, I: Ideal) -> Ideal:
         """The S-ideal a + I, interned so that its bases come from the store."""
@@ -153,8 +155,7 @@ class LocalRing:
     def quotient_dim_at(self, I: Ideal, K: int) -> int:
         """d_K = dim_k S/(a + I + m^K), an exact finite number for every K."""
         full = self.full(I)
-        basis = full.groebner_basis(None, self.limits, trunc=K)
-        leads = min_lead_monomials(basis)
+        leads = [g.lead()[0] for g in full.groebner_basis(None, self.limits, trunc=K)]
         dK = len(standard_monomials_below(leads, self.ring, K, cap=self.limits.dim_cap))
         self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens, "K": K, "dim": dK})
         return dK
@@ -205,19 +206,18 @@ class LocalRing:
         dimension at most 0 (none for the unit ideal), or None when it has
         positive dimension.
 
-        Each variable has a pure power among the leads, and a monomial whose
-        exponent of x_i reaches that power is not standard, so every
-        standard monomial has plain degree below 1 + sum(power_i - 1).
+        The lead ideal has dimension at most 0 exactly when each variable
+        has a pure power among the leads (the unit lead 1 counts as x_i^0).
+        A monomial whose exponent of x_i reaches that power is not standard,
+        so every standard monomial has plain degree below
+        1 + sum(power_i - 1).
         """
-        dim = lead_ideal_dimension(basis, self.ring)
-        if dim > 0:
-            return None
-        if dim < 0:
-            return []
-        leads = min_lead_monomials(basis)
+        leads = [g.lead()[0] for g in basis]
         bound = 1
         for i in range(self.ring.nvars):
             pure = [m[i] for m in leads if sum(m) == m[i]]
+            if not pure:
+                return None
             bound += min(pure) - 1
         return standard_monomials_below(leads, self.ring, bound, cap=self.limits.dim_cap)
 

@@ -50,6 +50,19 @@ def plain_degree(u: Monomial) -> int:
     return sum(u)
 
 
+def exponent_tuples(n: int, k: int):
+    """Every exponent tuple of n entries and total degree k, in no useful
+    order (stars and bars)."""
+    for bars in itertools.combinations(range(k + n - 1), n - 1):
+        prev = -1
+        expo = []
+        for b in bars:
+            expo.append(b - prev - 1)
+            prev = b
+        expo.append(k + n - 2 - prev)
+        yield tuple(expo)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 #
@@ -230,15 +243,7 @@ class RingSpec:
 
     def monomials_of_plain_degree(self, k: int) -> list:
         """All exponent tuples of total degree exactly k, descending default order."""
-        out = []
-        for bars in itertools.combinations(range(k + self.nvars - 1), self.nvars - 1):
-            prev = -1
-            expo = []
-            for b in bars:
-                expo.append(b - prev - 1)
-                prev = b
-            expo.append(k + self.nvars - 2 - prev)
-            out.append(tuple(expo))
+        out = list(exponent_tuples(self.nvars, k))
         key = GREVLEX.key
         out.sort(key=lambda m: key(m, self.weights), reverse=True)
         return out

@@ -1,5 +1,6 @@
 """Buchberger engine: reduced bases, normal forms, elimination, budgets."""
 
+import random
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from socleq.groebner import (
     standard_monomials_below,
 )
 from socleq.oracle import GradedIdeal
+from socleq.ring import mono_divides
 
 
 def ideal(ring, text):
@@ -234,39 +236,123 @@ def test_truncated_run_empty_gens_gives_power_ideal():
     assert [str(b) for b in basis] == ["Y^2", "X*Y", "X^2"]
 
 
-# Exact step counts of two fixed runs, measured with the generator-expression
-# monomial kernels that preceded the map kernels.  A run may spend exactly N
-# reduction steps, so budget N succeeds and N - 1 trips; any change to the
-# sequence of reductions moves N.  The first is a truncated run with covers
-# Z^11, X*Z^10, ...; the second is the elimination behind
-# intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)).  Both skip pairs by the
-# chain criterion.
+# Exact step counts of three fixed runs, measured with the generator-expression
+# monomial kernels that preceded the map kernels (the third with the map
+# kernels, before covers were looked up rather than scanned).  A run may spend
+# exactly N reduction steps, so budget N succeeds and N - 1 trips; any change
+# to the sequence of reductions moves N.  The first is a truncated run with
+# covers Z^11, X*Z^10, ...; the second is the elimination behind
+# intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)); the third is a truncated run
+# in four variables.  All skip pairs by the chain criterion; the last column
+# lists the lcm degrees, less K, at which the chain criterion of a truncated
+# run skips a pair ("2" stands for any excess >= 2, where covers are scanned).
 PINNED_RUNS = [
     (["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", {"trunc": 11}, 33,
-     ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"]),
+     ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"], {0, 1}),
     (["T", "X", "Y", "Z"], "T*X^3, T*X*Y, T*Y^2 - T*X*Z, T*Z^9 + T*X, Z - T*Z",
      {"order": Block((0,))}, 11,
      ["Y^2*Z - X*Z^2", "X*Y*Z", "X^2*Z", "Z^10 + X*Z", "Y*Z^9", "T*Z - Z",
-      "Z^9 + T*X", "T*Y^2 - X*Z"]),
+      "Z^9 + T*X", "T*Y^2 - X*Z"], set()),
+    (["W", "X", "Y", "Z"], "W*X - Y^2, X^3 + W*Z, Z^3 - W^2*Y", {"trunc": 5}, 36,
+     ["W*X - Y^2", "W^2*Y - Z^3", "X^3 + W*Z", "Z^4", "W*Z^3", "Y^2*Z^2", "W*Y*Z^2",
+      "W^2*Z^2", "Y^3*Z", "X*Y^2*Z", "W*Y^2*Z", "W^3*Z", "W*Y^3 - X*Z^3",
+      "X^2*Y^2 + W^2*Z", "X*Y*Z^3", "X^2*Z^3", "X^2*Y*Z^2", "Y^5", "X*Y^4", "W^5"],
+     {0, 1, 2}),
 ]
 
 
-@pytest.mark.parametrize("names, text, kwargs, steps, expected", PINNED_RUNS,
-                         ids=["truncated", "elimination"])
+@pytest.mark.parametrize("names, text, kwargs, steps, expected, excesses", PINNED_RUNS,
+                         ids=["truncated", "elimination", "truncated-4-vars"])
 def test_reduction_sequence_is_pinned_by_its_step_count(monkeypatch, names, text, kwargs,
-                                                        steps, expected):
+                                                        steps, expected, excesses):
     gens = parse_poly_list(text, RingSpec(FP(32003), names))
     skips = []
     chain = groebner._Engine.chain_skippable
 
     def counted(self, i, j, lcm):
         skipped = chain(self, i, j, lcm)
-        skips.append(skipped)
+        excess = None if self.trunc is None else min(sum(lcm) - self.trunc, 2)
+        skips.append((excess, skipped))
         return skipped
 
     monkeypatch.setattr(groebner._Engine, "chain_skippable", counted)
     basis = buchberger(list(gens), limits=Limits(step_budget=steps), **kwargs)
     assert [str(b) for b in basis] == expected
-    assert any(skips)
+    assert any(skipped for _, skipped in skips)
+    assert {e for e, skipped in skips if skipped and e is not None and e >= 0} == excesses
     with pytest.raises(BudgetExceededError):
         buchberger(list(gens), limits=Limits(step_budget=steps - 1), **kwargs)
+
+
+def _chain_by_scan(eng, i, j, lcm, covers=True):
+    """The chain criterion by a scan of every basis element (of every
+    non-cover element when covers is False)."""
+    return any(k != i and k != j and (covers or not elt.cover) and mono_divides(elt.lead, lcm)
+               and eng._pair_ok(i, k) and eng._pair_ok(j, k) for k, elt in enumerate(eng.basis))
+
+
+def test_cover_lookups_answer_as_a_scan_of_every_element(monkeypatch):
+    chain = groebner._Engine.chain_skippable
+    needed = set()  # lcm excesses over K at which only a cover allows the skip
+
+    def checked(self, i, j, lcm):
+        skipped = chain(self, i, j, lcm)
+        assert skipped == _chain_by_scan(self, i, j, lcm)
+        if skipped and not _chain_by_scan(self, i, j, lcm, covers=False):
+            needed.add(min(sum(lcm) - self.trunc, 2))
+        return skipped
+
+    monkeypatch.setattr(groebner._Engine, "chain_skippable", checked)
+    rng = random.Random(1)
+    r = RingSpec(FP(32003), ["W", "X", "Y", "Z"])
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            monos = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(1, 3))}
+            gens.append(r.from_terms({m: r.field.from_int(rng.choice((-2, -1, 1, 2)))
+                                      for m in monos if sum(m)}))
+        buchberger(gens, trunc=rng.randint(3, 6), ring=r)
+    assert needed == {0, 1, 2}
+
+
+def _standard_monomials_by_filter(leads, ring, k, cap=None):
+    """The definition: every monomial of total degree < k in the order of
+    monomials_of_plain_degree, kept when no lead divides it."""
+    out = []
+    for d in range(k):
+        for m in ring.monomials_of_plain_degree(d):
+            if not any(mono_divides(lead, m) for lead in leads):
+                out.append(m)
+                if cap is not None and len(out) > cap:
+                    raise BudgetExceededError(f"standard monomial count exceeded cap {cap}")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        return ("raised", str(exc))
+
+
+def test_standard_monomial_walk_matches_enumerate_and_filter():
+    rng = random.Random(5)
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        ring = RingSpec(QQ, [f"x{i}" for i in range(n)], [rng.randint(1, 4) for _ in range(n)])
+        leads = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.05:
+            leads.append((0,) * n)  # the unit ideal
+        k = rng.randint(0, 9)
+        full = _standard_monomials_by_filter(leads, ring, k)
+        assert standard_monomials_below(leads, ring, k) == full
+        for cap in {0, 3, len(full) - 1, len(full), len(full) + 1}:
+            if cap < 0:
+                continue
+            want = _outcome(_standard_monomials_by_filter, leads, ring, k, cap)
+            assert _outcome(standard_monomials_below, leads, ring, k, cap) == want
+            cases += isinstance(want, tuple)
+    assert cases  # some caps are exceeded
+    unit = RingSpec(QQ, ["X", "Y"])
+    assert standard_monomials_below([(1, 0), (0, 0)], unit, 5, cap=0) == []

@@ -4,7 +4,8 @@ import pytest
 
 import socleq.groebner
 from socleq import FP, QQ, RingSpec, idealops, localring, parse_poly, parse_poly_list
-from socleq.errors import InputError, UndecidableError
+from socleq.errors import InputError, RingMismatchError, UndecidableError
+from socleq.groebner import Ideal, lead_ideal_dimension
 from socleq.idealops import colon, ideal_power, ideal_product, intersect
 from socleq.limits import DEFAULT_LIMITS
 from socleq.localring import LocalRing, check_socle_square
@@ -408,3 +409,27 @@ def test_containment_tests_generators_in_order_up_to_the_first_miss():
     assert got.holds is False and str(got.witness) == "Y"
     assert [str(e["f"]) for e in events] == ["Z^2", "X*Z", "Y"]
     assert all(e["kind"] == "membership" for e in events)
+
+
+def test_standard_monomials_exist_exactly_for_artinian_lead_ideals():
+    cases = 0
+    for ident, qtext in SOCLE_CASES + [("almost_dvr", "X"), ("two_planes", "X"), ("regular2", "X")]:
+        loc = build(ident, FP(32003)).local
+        unit = Ideal(loc.ring, [loc.ring.one()]).groebner_basis()
+        assert loc._standard_monomials(unit) == []
+        for ideal in (loc.defining, loc.full(loc.ideal(qtext))):
+            basis = ideal.groebner_basis()
+            std = loc._standard_monomials(basis)
+            assert (std is None) == (lead_ideal_dimension(basis, loc.ring) > 0)
+            cases += std is None
+    assert cases  # both outcomes occur
+
+
+def test_intern_returns_the_stored_ideal(triple_line):
+    full = triple_line.full(triple_line.ideal("Z^2, X"))
+    zero = triple_line.ring.zero()
+    assert triple_line._intern([*full.gens, zero, full.gens[0]]) is full
+    assert triple_line.full(triple_line.ideal("Z^2, X, Z^2")) is full
+    foreign = RingSpec(QQ, ["U"]).var("U")
+    with pytest.raises(RingMismatchError):
+        triple_line._intern([*full.gens, foreign])
