@@ -8,8 +8,21 @@ every local question is answered by one of three certified routes:
 * finite colength: if d_K = dim_k S/(b + m^K) satisfies d_K = d_{K+1} for a
   single K, Nakayama forces m^K (A/bA) = 0, so d_K is the exact length and
   b + m^K is the S-level avatar of bA (the quotient by b + m^K is supported
-  only at the origin, so localisation changes nothing).  Membership in bA is
-  then plain normal form against the truncated basis.
+  only at the origin, so localisation changes nothing).
+  When the reduced basis of b has a lead ideal of dimension at most 0,
+  V = S/b is finite dimensional and d_K = dim V/m^K V is read off the
+  m-adic filtration of V: m^K V is spanned by the x_j times a basis of
+  m^(K-1) V, through one multiplication table on the standard monomials.
+  V is the product of its local algebras, one per point; m is nilpotent on
+  the origin's factor and generates the unit ideal of every other, so m^K V
+  shrinks to the factors away from the origin and V/m^K V at the flat step
+  is V_m = A/bA.  Membership in b + m^K is then NF(f) in m^K V.  Otherwise
+  (a positive-dimensional lead ideal, or more than dim_cap standard
+  monomials) each d_K comes from a truncated basis of b + m^K, and
+  membership is plain normal form against it.  The filtration row-reduces
+  with `oracle.Echelon`, so the audit of its events is independent through
+  its inputs (truncated slices of b + m^K, not the engine's basis or
+  table), not through separate linear algebra.
 
 * graded: if b is homogeneous for the ring's weights, all its associated
   primes sit inside m, so bA cap S = b and S-level normal form already
@@ -40,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, UndecidableError
+from .errors import BudgetExceededError, InputError, UndecidableError
 from .groebner import (
     Ideal,
     buchberger,
@@ -113,6 +126,7 @@ class LocalRing:
         self.auditor = None  # optional callable(record: dict)
         self._ideals: dict = {}  # the basis store: generator tuple -> Ideal
         self._len_cache: dict = {}
+        self._spans: dict = {}  # generator tuple of a + J -> (level, basis, stable span)
         self._dim: int | None = None
         self.defining = self._intern(gens)
 
@@ -169,16 +183,82 @@ class LocalRing:
         if self._is_graded_ideal(I):
             out = self._graded_length(I)
         else:
-            prev = None
-            out = None
-            for K in range(1, self.limits.trunc_k_budget + 1):
-                dK = self.quotient_dim_at(I, K)
-                if prev is not None and dK == prev:
-                    out = StableLength(dK, K - 1)
-                    break
-                prev = dK
+            out = self._filtered_length(I)
         self._len_cache[key] = out
         return out
+
+    def _filtered_length(self, I: Ideal) -> StableLength | None:
+        """Length of A/IA for an inhomogeneous a + I, at the first flat step
+        of K -> d_K = dim_k S/(a + I + m^K).
+
+        When the reduced basis B of a + I has a lead ideal of dimension at
+        most 0, the d_K come from the m-adic filtration of V = S/(a + I)
+        (see `_filtration`), and its stable span is kept for membership;
+        otherwise, or past dim_cap standard monomials, from truncated bases.
+        """
+        full = self.full(I)
+        basis = full.groebner_basis(None, self.limits)
+        try:
+            std = self._standard_monomials(basis)
+        except BudgetExceededError:
+            std = None
+        if std is None:
+            steps = ((self.quotient_dim_at(I, K), None)
+                     for K in range(1, self.limits.trunc_k_budget + 1))
+        else:
+            steps = self._filtration(full, basis, std)
+        prev = None
+        for K, (dK, span) in enumerate(steps, 1):
+            if dK == prev:
+                if span is not None:
+                    self._spans[full.gens] = (K - 1, basis, span)
+                return StableLength(dK, K - 1)
+            prev = dK
+        return None
+
+    def _filtration(self, full: Ideal, basis, std):
+        """Yield (d_K, echelon of m^K V) for K = 1 .. trunc_k_budget, with
+        one quotient_dim event each, where V = S/full has the standard
+        monomials std of its reduced basis as a basis.
+
+        d_K = dim V/m^K V, and m^K V is spanned by the x_j*w for w in a
+        basis of m^(K-1) V, starting from V itself; x_j acts by the
+        multiplication table.
+        """
+        fld, nvars = self.ring.field, self.ring.nvars
+        table = self._multiplication_table(basis, std)
+        rows = [{b: fld.one} for b in std]
+        for K in range(1, self.limits.trunc_k_budget + 1):
+            span = Echelon(fld)
+            for w in rows:
+                for j in range(nvars):
+                    image: dict = {}
+                    for b, c in w.items():
+                        for m, t in table[b][j]:
+                            s = fld.add(image.get(m, fld.zero), fld.mul(c, t))
+                            if s:
+                                image[m] = s
+                            else:
+                                image.pop(m, None)
+                    span.add(image)
+            rows = span.pivots.values()
+            dK = len(std) - span.rank
+            self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens, "K": K, "dim": dK})
+            yield dK, span
+
+    def _multiplication_table(self, basis, std) -> dict:
+        """b -> [NF(x_j*b) for each variable x_j], as term tuples, for the
+        standard monomials b of a reduced basis.  A standard x_j*b is its
+        own normal form; the other products are reduced once each, in one
+        normal_forms stream."""
+        ring, one = self.ring, self.ring.field.one
+        units = [tuple(int(k == j) for k in range(ring.nvars)) for j in range(ring.nvars)]
+        standard = set(std)
+        products = {b: [mono_mul(b, u) for u in units] for b in std}
+        pending = dict.fromkeys(p for ps in products.values() for p in ps if p not in standard)
+        reduced = {p: rem.terms for p, rem in zip(pending, normal_forms(
+            (ring.from_terms({p: one}) for p in pending), basis, self.limits))}
+        return {b: [reduced.get(p, ((p, one),)) for p in ps] for b, ps in products.items()}
 
     def _graded_length(self, I: Ideal) -> StableLength | None:
         """Length read off one homogeneous reduced basis.
@@ -240,9 +320,18 @@ class LocalRing:
     def _nf_members(self, fs, target: Ideal, K: int | None):
         """Yield (f, whether f is in the interned S-ideal target, + m^K when
         K is given) for each f in fs, decided by normal form as it is asked
-        for, with one membership event each."""
-        basis = target.groebner_basis(None, self.limits, trunc=K)
-        for f, rem in zip(fs, normal_forms(fs, basis, self.limits, trunc=K)):
+        for, with one membership event each.
+
+        At the stable level of a filtered target, f is a member iff its
+        normal form by the global basis lies in the stable span."""
+        stable = self._spans.get(target.gens)
+        if stable is not None and stable[0] == K:
+            _, basis, span = stable
+            rems = (span.reduce(dict(rem.terms)) for rem in normal_forms(fs, basis, self.limits))
+        else:
+            basis = target.groebner_basis(None, self.limits, trunc=K)
+            rems = normal_forms(fs, basis, self.limits, trunc=K)
+        for f, rem in zip(fs, rems):
             member = not rem
             self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})
             yield f, member
@@ -363,19 +452,12 @@ class LocalRing:
         if std is None:
             return colon(full, self.maximal(), self.limits)
         ring, one = self.ring, self.ring.field.one
-        units = [tuple(int(k == j) for k in range(ring.nvars)) for j in range(ring.nvars)]
-        standard = set(std)
-        # a standard x_j*b is its own normal form; the others are reduced once each
-        pending = dict.fromkeys(p for b in std for u in units
-                                if (p := mono_mul(b, u)) not in standard)
-        reduced = {p: rem.terms for p, rem in zip(pending, normal_forms(
-            (ring.from_terms({p: one}) for p in pending), basis, self.limits))}
+        table = self._multiplication_table(basis, std)
         ech = Echelon(ring.field)
         for b in std:
             row = {(0, b): one}
-            for j, u in enumerate(units):
-                p = mono_mul(b, u)
-                for m, c in reduced.get(p, ((p, one),)):
+            for j, image in enumerate(table[b]):
+                for m, c in image:
                     row[(1, j, m)] = c
             ech.add(row)
         lifts = [ring.from_terms({label[1]: c for label, c in row.items()})

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 import socleq.groebner
 from socleq import FP, QQ, RingSpec, idealops, localring, parse_poly, parse_poly_list
 from socleq.errors import InputError, RingMismatchError, UndecidableError
-from socleq.groebner import Ideal, lead_ideal_dimension
+from socleq.groebner import Ideal, lead_ideal_dimension, normal_forms
 from socleq.idealops import colon, ideal_power, ideal_product, intersect
-from socleq.limits import DEFAULT_LIMITS
-from socleq.localring import LocalRing, check_socle_square
+from socleq.limits import DEFAULT_LIMITS, Limits
+from socleq.localring import Containment, LocalRing, StableLength, check_socle_square
 from socleq.zoo import build
 
 
@@ -433,3 +434,136 @@ def test_intern_returns_the_stored_ideal(triple_line):
     foreign = RingSpec(QQ, ["U"]).var("U")
     with pytest.raises(RingMismatchError):
         triple_line._intern([*full.gens, foreign])
+
+
+# -- inhomogeneous lengths by the m-adic filtration -------------------------------
+
+
+def _loop_reference(loc, J):
+    """The StableLength and the (K, dim) events of the loop over truncated
+    bases: quotient_dim_at at K = 1, 2, ... up to the first flat step."""
+    events = []
+    loc.auditor = events.append
+    prev, out = None, None
+    for K in range(1, loc.limits.trunc_k_budget + 1):
+        dK = loc.quotient_dim_at(J, K)
+        if dK == prev:
+            out = StableLength(dK, K - 1)
+            break
+        prev = dK
+    loc.auditor = None
+    return out, [(e["K"], e["dim"]) for e in events]
+
+
+def _truncated_containment(loc, I, J, level):
+    """Containment of I in J at the stable level by normal forms against
+    the truncated basis of a + J + m^level, with its membership events."""
+    basis = loc.full(J).groebner_basis(None, loc.limits, trunc=level)
+    seen = []
+    for g, rem in zip(I.gens, normal_forms(I.gens, basis, loc.limits, trunc=level)):
+        seen.append((g, level, not rem))
+        if rem:
+            return Containment(False, "finite-colength", witness=g, level=level), seen
+    return Containment(True, "finite-colength", level=level), seen
+
+
+def _untruncated(real):
+    def buchberger(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, ring=None):
+        assert trunc is None, "a truncated basis was computed"
+        return real(gens, order, limits, trunc, ring)
+
+    return buchberger
+
+
+def _random_poly(rng, nvars):
+    """Text of a polynomial of X, Y (and Z) with one term in each of two or
+    three plain degrees from 1 to 3, coefficients in {-2, -1, 1, 2, 3}."""
+    names = "XYZ"[:nvars]
+    terms = []
+    for d in sorted(rng.sample((1, 2, 3), rng.randint(2, 3))):
+        mono = "*".join(rng.choice(names) for _ in range(d))
+        terms.append(f"{rng.choice((-2, -1, 1, 2, 3))}*{mono}")
+    return " + ".join(terms)
+
+
+def _inhomogeneous_cases():
+    """(zoo ring id, J text): triple_line's and almost_dvr's inhomogeneous
+    parameters, then seeded random ideals of regular2, almost_dvr and
+    triple_line, some of them with points away from the origin."""
+    cases = [("triple_line", f"Z^{n} + X*({f}) + Y*({g})")
+             for f in ("1", "X") for g in ("Y", "Z") for n in (1, 2, 3)]
+    cases += [("almost_dvr", q) for q in ("Y^2 - X", "Y^3 - X*Y", "Y - X*Y")]
+    rng = random.Random(18)
+    for ident, nvars, ngens in [("regular2", 2, 2)] * 12 + [("almost_dvr", 2, 1)] * 8 + [("triple_line", 3, 1)] * 6:
+        cases.append((ident, ", ".join(_random_poly(rng, nvars) for _ in range(ngens))))
+    return cases
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+def test_filtered_lengths_and_containments_match_the_truncated_loop(monkeypatch, field):
+    filtered = 0
+    for ident, jtext in _inhomogeneous_cases():
+        ref = build(ident, field).local
+        J = ref.ideal(jtext)
+        if ref._is_graded_ideal(J):
+            continue
+        want, want_dims = _loop_reference(ref, J)
+        m = ref.maximal()
+        tests = [m, ideal_power(m, 2), ideal_power(m, 3), J, ref.ideal(J.gens[:1]),
+                 ref.ideal(_random_poly(random.Random(jtext), ref.ring.nvars))]
+        want_in = [_truncated_containment(ref, I, J, want.level) for I in tests] if want else []
+
+        loc = build(ident, field).local
+        std = loc._standard_monomials(loc.full(J).groebner_basis())
+        with monkeypatch.context() as patch:
+            if std is not None:
+                filtered += 1
+                patch.setattr(socleq.groebner, "buchberger", _untruncated(socleq.groebner.buchberger))
+            events = []
+            loc.auditor = events.append
+            assert loc.length_of_quotient(J) == want, (ident, jtext)
+            assert [(e["K"], e["dim"]) for e in events] == want_dims
+            for I, (contained, members) in zip(tests, want_in):
+                events.clear()
+                assert loc.check_contained(I, J) == contained, (ident, jtext, I)
+                assert [(e["f"], e["K"], e["member"]) for e in events] == members
+    assert filtered >= 20
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+def test_inhomogeneous_known_lengths(monkeypatch, field):
+    calls = []
+    real = LocalRing.quotient_dim_at
+    monkeypatch.setattr(LocalRing, "quotient_dim_at",
+                        lambda self, I, K: calls.append(K) or real(self, I, K))
+    r = RingSpec(field, ["X", "Y"])
+
+    def length(defining, limits=DEFAULT_LIMITS):
+        loc = LocalRing(r, list(parse_poly_list(defining, r)), limits)
+        events = []
+        loc.auditor = events.append
+        got = loc.length_of_quotient(loc.zero_ideal())
+        return loc, got, [(e["K"], e["dim"]) for e in events]
+
+    # two points, the origin and (1, 0): the filtration drops the second
+    loc, got, dims = length("X^2 - X, Y^2")
+    assert got == StableLength(2, 2) and dims == [(1, 1), (2, 2), (3, 2)]
+    assert len(loc._standard_monomials(loc.defining.groebner_basis())) == 4
+    # X = X^2 = X^3 = ... lies in m^K for every K, so X is 0 in A; Y is not
+    assert loc.check_contained(loc.ideal("X"), loc.zero_ideal()) == Containment(True, "finite-colength", level=2)
+    outside = loc.check_contained(loc.ideal("X, Y"), loc.zero_ideal())
+    assert outside == Containment(False, "finite-colength", witness=loc.ideal("Y").gens[0], level=2)
+    loc, got, dims = length("X - Y^2, Y^3")
+    assert got == StableLength(3, 3) and dims == [(1, 1), (2, 2), (3, 3), (4, 3)]
+    assert loc.krull_dim() == 0
+    assert calls == []
+
+    # a line Y = 1 away from the origin: the global lead ideal is not Artinian
+    loc, got, dims = length("X*Y - X, Y^2 - Y")
+    assert got == StableLength(1, 1) and dims == [(1, 1), (2, 1)]
+    assert calls == [1, 2]
+    # more standard monomials than dim_cap: the loop decides, and raises nothing
+    calls.clear()
+    loc, got, dims = length("X^2 - X, Y^2", Limits(dim_cap=3))
+    assert got == StableLength(2, 2) and dims == [(1, 1), (2, 2), (3, 2)]
+    assert calls == [1, 2, 3]
