@@ -419,17 +419,6 @@ class Ideal:
         """
         return all(g.weighted_degree() is not None for g in self.groebner_basis(None, limits))
 
-    def normal_form(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> Polynomial:
-        basis = self.groebner_basis(None, limits)
-        if not basis:
-            return f
-        return normal_form(f, basis, limits)
-
-    def contains(self, f: Polynomial, limits: Limits = DEFAULT_LIMITS) -> bool:
-        if not f:
-            return True
-        return not self.normal_form(f, limits)
-
 
 def eliminate(ideal: Ideal, keep: Iterable[str], limits: Limits = DEFAULT_LIMITS) -> Ideal:
     """Intersection of the ideal with the subring on the kept variables."""
@@ -504,6 +493,41 @@ def standard_monomials_below(leads: Sequence[Monomial], ring: RingSpec, k: int, 
         monos.sort(key=lambda m: key(m, weights), reverse=True)
         out += monos
     return out
+
+
+def standard_monomials(basis: Sequence[Polynomial], ring: RingSpec, cap: int | None = None) -> list | None:
+    """The standard monomials of a reduced basis whose lead ideal has
+    dimension at most 0 (none for the unit ideal), or None when it has
+    positive dimension.
+
+    The lead ideal has dimension at most 0 exactly when each variable has a
+    pure power among the leads (the unit lead 1 counts as x_i^0).  A
+    monomial whose exponent of x_i reaches that power is not standard, so
+    every standard monomial has plain degree below 1 + sum(power_i - 1).
+    """
+    leads = [g.lead()[0] for g in basis]
+    bound = 1
+    for i in range(ring.nvars):
+        pure = [m[i] for m in leads if sum(m) == m[i]]
+        if not pure:
+            return None
+        bound += min(pure) - 1
+    return standard_monomials_below(leads, ring, bound, cap=cap)
+
+
+def multiplication_table(basis: Sequence[Polynomial], std: Sequence[Monomial],
+                         monos: Sequence[Monomial], limits: Limits = DEFAULT_LIMITS) -> dict:
+    """b -> [NF(t*b) for each monomial t in monos], as term tuples, for the
+    standard monomials std of a nonempty reduced basis.  A standard t*b is
+    its own normal form; the other products are reduced once each, in one
+    normal_forms stream."""
+    ring, one = basis[0].ring, basis[0].ring.field.one
+    standard = set(std)
+    products = {b: [mono_mul(b, t) for t in monos] for b in std}
+    pending = dict.fromkeys(p for ps in products.values() for p in ps if p not in standard)
+    reduced = {p: rem.terms for p, rem in zip(pending, normal_forms(
+        (ring.from_terms({p: one}) for p in pending), basis, limits))}
+    return {b: [reduced.get(p, ((p, one),)) for p in ps] for b, ps in products.items()}
 
 
 def lead_ideal_dimension(basis: Sequence[Polynomial], ring: RingSpec) -> int:

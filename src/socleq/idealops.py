@@ -3,9 +3,14 @@
 Everything here is exact and works in the ambient polynomial ring S; the
 local layer builds on these by always carrying the defining ideal along.
 Intersections use the classic single-auxiliary-variable elimination.  A
-colon by a variable x_i, or by c*x_i, of a weighted-homogeneous ideal
-divides the reduced basis taken with x_i last by x_i (Bayer-Stillman), and
-then by c; every other colon intersects with (f) and divides exactly by f.
+colon of I by two or more terms, when S/I is finite dimensional, is I plus
+the lifts of the common kernel of multiplication by those terms on the
+standard monomials (the multiplication-matrix view of FGLM): one row
+reduction and one basis run, for any grading.  Otherwise a colon meets the
+colons by each generator f.  A colon by a variable x_i, or by c*x_i, of a
+weighted-homogeneous ideal divides the reduced basis taken with x_i last by
+x_i (Bayer-Stillman), and then by c; every other colon by f intersects with
+(f) and divides exactly by f.
 Saturation iterates the colon until it stabilises, reporting the exponent
 at which it did.  A caller that takes many colons of related ideals may
 pass a colon a dict of its own as an intersection memo; nothing here keeps
@@ -17,8 +22,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import BudgetExceededError, InputError, RingMismatchError
-from .groebner import Ideal, buchberger, eliminate
+from .groebner import Ideal, buchberger, eliminate, multiplication_table, standard_monomials
 from .limits import DEFAULT_LIMITS, Limits
+from .oracle import Echelon
 from .ring import Polynomial, RingSpec, mono_div, mono_divides
 
 
@@ -235,6 +241,37 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
     return Ideal(ring, quotients)
 
 
+def _artinian_colon(I: Ideal, J: Ideal, limits: Limits) -> Ideal | None:
+    """I : J for J generated by terms c_k*t_k, by the kernel route; None
+    when I's lead ideal has positive dimension or more than dim_cap
+    standard monomials.
+
+    The kernel is read off the echelon of the rows (0, b) + (1, k, t_k*b
+    reduced) over the standard monomials b: every label (1, ...) sorts above
+    every (0, ...), so a stored row whose pivot starts with 0 has no
+    multiplication part left, and these rows span the kernel.
+    """
+    ring = I.ring
+    basis = I.groebner_basis(None, limits)
+    try:
+        std = standard_monomials(basis, ring, limits.dim_cap)
+    except BudgetExceededError:
+        return None
+    if std is None:
+        return None
+    table = multiplication_table(basis, std, [g.terms[0][0] for g in J.gens], limits)
+    ech = Echelon(ring.field)
+    for b in std:
+        row = {(0, b): ring.field.one}
+        for k, image in enumerate(table[b]):
+            for m, c in image:
+                row[(1, k, m)] = c
+        ech.add(row)
+    lifts = [ring.from_terms({label[1]: c for label, c in row.items()})
+             for pivot, row in ech.pivots.items() if pivot[0] == 0]
+    return Ideal.from_reduced_basis(ring, buchberger(list(basis) + lifts, None, limits))
+
+
 def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS,
           memo: dict | None = None) -> Ideal:
     """(I : J) = intersection of (I : g) over the generators g of J.
@@ -244,6 +281,10 @@ def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS,
     ring = _same_ring(I, J)
     if J.is_zero:
         return Ideal(ring, [ring.one()])
+    if len(J.gens) > 1 and all(len(g.terms) == 1 for g in J.gens):
+        out = _artinian_colon(I, J, limits)
+        if out is not None:
+            return out
     out = colon_by_poly(I, J.gens[0], limits, memo)
     for g in J.gens[1:]:
         out = _meet(out, colon_by_poly(I, g, limits, memo), limits, memo)

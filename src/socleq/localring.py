@@ -19,10 +19,8 @@ every local question is answered by one of three certified routes:
   is V_m = A/bA.  Membership in b + m^K is then NF(f) in m^K V.  Otherwise
   (a positive-dimensional lead ideal, or more than dim_cap standard
   monomials) each d_K comes from a truncated basis of b + m^K, and
-  membership is plain normal form against it.  The filtration row-reduces
-  with `oracle.Echelon`, so the audit of its events is independent through
-  its inputs (truncated slices of b + m^K, not the engine's basis or
-  table), not through separate linear algebra.
+  membership is plain normal form against it.  The audit of these events
+  rests on truncated slices of b + m^K (see `oracle`).
 
 * graded: if b is homogeneous for the ring's weights, all its associated
   primes sit inside m, so bA cap S = b and S-level normal form already
@@ -35,13 +33,6 @@ every local question is answered by one of three certified routes:
 
 Lengths of finite modules W/b with m^N W inside b are ranks of finitely many
 normal forms, taken over the monomial multipliers of degree below N.
-
-Socle: when a + Q is homogeneous with a zero-dimensional lead ideal, S/(a + Q)
-is graded Artinian, so (a + Q) : m is a + Q plus the lifts of the socle of
-S/(a + Q), the common kernel of multiplication by the variables on its
-standard monomials (the multiplication-matrix view of FGLM).  One row
-reduction finds that kernel and one basis run adds it; no elimination is
-needed.  Every other Q is divided by m with the general colon.
 
 Basis store: a LocalRing interns each S-ideal a + J by its deduplicated
 generator tuple, and the Ideal caches its bases by truncation (None or K), so
@@ -56,9 +47,10 @@ from dataclasses import dataclass
 from .errors import BudgetExceededError, InputError, UndecidableError
 from .groebner import (
     Ideal,
-    buchberger,
     lead_ideal_dimension,
+    multiplication_table,
     normal_forms,
+    standard_monomials,
     standard_monomials_below,
 )
 from .idealops import (
@@ -70,7 +62,7 @@ from .idealops import (
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import Echelon
-from .ring import Polynomial, RingSpec, mono_mul
+from .ring import Polynomial, RingSpec
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ class LocalRing:
         full = self.full(I)
         basis = full.groebner_basis(None, self.limits)
         try:
-            std = self._standard_monomials(basis)
+            std = standard_monomials(basis, self.ring, self.limits.dim_cap)
         except BudgetExceededError:
             std = None
         if std is None:
@@ -226,7 +218,8 @@ class LocalRing:
         multiplication table.
         """
         fld, nvars = self.ring.field, self.ring.nvars
-        table = self._multiplication_table(basis, std)
+        units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+        table = multiplication_table(basis, std, units, self.limits)
         rows = [{b: fld.one} for b in std]
         for K in range(1, self.limits.trunc_k_budget + 1):
             span = Echelon(fld)
@@ -246,20 +239,6 @@ class LocalRing:
             self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens, "K": K, "dim": dK})
             yield dK, span
 
-    def _multiplication_table(self, basis, std) -> dict:
-        """b -> [NF(x_j*b) for each variable x_j], as term tuples, for the
-        standard monomials b of a reduced basis.  A standard x_j*b is its
-        own normal form; the other products are reduced once each, in one
-        normal_forms stream."""
-        ring, one = self.ring, self.ring.field.one
-        units = [tuple(int(k == j) for k in range(ring.nvars)) for j in range(ring.nvars)]
-        standard = set(std)
-        products = {b: [mono_mul(b, u) for u in units] for b in std}
-        pending = dict.fromkeys(p for ps in products.values() for p in ps if p not in standard)
-        reduced = {p: rem.terms for p, rem in zip(pending, normal_forms(
-            (ring.from_terms({p: one}) for p in pending), basis, self.limits))}
-        return {b: [reduced.get(p, ((p, one),)) for p in ps] for b, ps in products.items()}
-
     def _graded_length(self, I: Ideal) -> StableLength | None:
         """Length read off one homogeneous reduced basis.
 
@@ -271,7 +250,7 @@ class LocalRing:
         lies inside the ideal at level = that maximum + 1.
         """
         full = self.full(I)
-        std = self._standard_monomials(full.groebner_basis(None, self.limits))
+        std = standard_monomials(full.groebner_basis(None, self.limits), self.ring, self.limits.dim_cap)
         if std is None:
             return None
         if not std:
@@ -280,26 +259,6 @@ class LocalRing:
         self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens,
                     "K": level, "dim": len(std)})
         return StableLength(len(std), level)
-
-    def _standard_monomials(self, basis) -> list | None:
-        """The standard monomials of a reduced basis whose lead ideal has
-        dimension at most 0 (none for the unit ideal), or None when it has
-        positive dimension.
-
-        The lead ideal has dimension at most 0 exactly when each variable
-        has a pure power among the leads (the unit lead 1 counts as x_i^0).
-        A monomial whose exponent of x_i reaches that power is not standard,
-        so every standard monomial has plain degree below
-        1 + sum(power_i - 1).
-        """
-        leads = [g.lead()[0] for g in basis]
-        bound = 1
-        for i in range(self.ring.nvars):
-            pure = [m[i] for m in leads if sum(m) == m[i]]
-            if not pure:
-                return None
-            bound += min(pure) - 1
-        return standard_monomials_below(leads, self.ring, bound, cap=self.limits.dim_cap)
 
     def require_length(self, I: Ideal, what: str = "quotient") -> StableLength:
         got = self.length_of_quotient(I)
@@ -432,37 +391,8 @@ class LocalRing:
         return True
 
     def socle_of(self, Q: Ideal) -> Ideal:
-        """S-level representative of (QA : m), the socle enlargement of Q.
-
-        When a + Q is weighted homogeneous with a lead ideal of dimension at
-        most 0, S/(a + Q) is graded Artinian and (a + Q) : m is a + Q plus
-        the lifts of its socle: the common kernel of multiplication by the
-        variables on the standard monomials b.  The kernel is read off the
-        echelon of the rows (0, b) + (1, j, x_j*b reduced): every label
-        (1, ...) sorts above every (0, ...), so a stored row whose pivot
-        starts with 0 has no multiplication part left, and these rows span
-        the kernel.
-        Every other Q is divided by m with `colon`.
-        """
-        full = self.full(Q)
-        std = None
-        if self._is_graded_ideal(Q):
-            basis = full.groebner_basis(None, self.limits)
-            std = self._standard_monomials(basis)
-        if std is None:
-            return colon(full, self.maximal(), self.limits)
-        ring, one = self.ring, self.ring.field.one
-        table = self._multiplication_table(basis, std)
-        ech = Echelon(ring.field)
-        for b in std:
-            row = {(0, b): one}
-            for j, image in enumerate(table[b]):
-                for m, c in image:
-                    row[(1, j, m)] = c
-            ech.add(row)
-        lifts = [ring.from_terms({label[1]: c for label, c in row.items()})
-                 for pivot, row in ech.pivots.items() if pivot[0] == 0]
-        return Ideal.from_reduced_basis(ring, buchberger(list(basis) + lifts, None, self.limits))
+        """S-level representative of (QA : m), the socle enlargement of Q."""
+        return colon(self.full(Q), self.maximal(), self.limits)
 
     def index_of_reducibility(self, Q: Ideal) -> int:
         """dim_k of the socle of A/QA = len((Q : m)/Q)."""

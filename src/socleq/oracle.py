@@ -3,10 +3,13 @@
 Everything in here recomputes quantities the Groebner path also produces,
 using nothing but linear algebra over the coefficient field: a finite
 dimensional slice of the ring is spanned by explicit rows and reduced to
-echelon form.  No S-polynomials, no monomial order (a row's pivot is its
-largest exponent tuple in Python's own order), no shared code with the
-basis engine.  The point is that a bug would have to occur twice, in two
-unrelated algorithms, to go unnoticed.
+echelon form.  No S-polynomials and no monomial order (a row's pivot is its
+largest exponent tuple in Python's own order).  The engine's colon kernel
+and m-adic filtration row-reduce with this `Echelon` too, so the audit's
+independence rests on its inputs (truncated slices of the ideal, not the
+engine's reduced basis or multiplication table), not on separate linear
+algebra: a bug would have to give the same answer twice, in two unrelated
+computations, to go unnoticed.
 
 The slice of the polynomial ring below plain degree K is a vector space
 with monomial basis.  For generators g_1..g_r the rows

@@ -65,11 +65,11 @@ def test_byte_identical_across_runs(rxy):
 
 
 def test_membership_and_normal_form(rxy):
-    J = ideal(rxy, "X^2, X*Y")
-    assert J.contains(parse_poly("X^2*Y^5 + X*Y", rxy))
-    assert not J.contains(parse_poly("Y^4", rxy))
-    assert J.normal_form(parse_poly("X^2 + Y", rxy)) == parse_poly("Y", rxy)
-    assert J.normal_form(rxy.zero()) == rxy.zero()
+    basis = ideal(rxy, "X^2, X*Y").groebner_basis()
+    assert not normal_form(parse_poly("X^2*Y^5 + X*Y", rxy), basis)
+    assert normal_form(parse_poly("Y^4", rxy), basis)
+    assert normal_form(parse_poly("X^2 + Y", rxy), basis) == parse_poly("Y", rxy)
+    assert normal_form(rxy.zero(), basis) == rxy.zero()
 
 
 def _each_normal_form(fs, basis, limits, trunc):
@@ -109,7 +109,7 @@ def test_normal_forms_spend_one_budget_per_element(trunc):
 
 def test_unit_ideal(rxy):
     J = ideal(rxy, "X, X + 1")
-    assert J.contains(rxy.one())
+    assert not normal_form(rxy.one(), J.groebner_basis())
     assert list(map(str, J.groebner_basis())) == ["1"]
 
 
@@ -117,7 +117,7 @@ def test_zero_ideal(rxy):
     J = Ideal(rxy, [rxy.zero()])
     assert J.is_zero
     assert J.groebner_basis() == ()
-    assert J.normal_form(parse_poly("X", rxy)) == parse_poly("X", rxy)
+    assert normal_form(parse_poly("X", rxy), J.groebner_basis()) == parse_poly("X", rxy)
 
 
 def test_weighted_homogeneous_basis_stays_homogeneous():

@@ -231,12 +231,51 @@ def test_monomial_colon_stores_its_reduced_basis(monkeypatch, gens, f, stored):
 
 
 def test_colon_by_maximal_ideal_intersects_only_the_partial_colons(monkeypatch, rxyz):
-    I = ideal(rxyz, "X^3, X*Y, Y^2 - X*Z, Z^4")
+    # a positive-dimensional numerator, so the colon eliminates
+    I = ideal(rxyz, "X^3, X*Y, Y^2 - X*Z")
     want = colon(I, maximal_ideal(rxyz)).gens
     calls = []
     monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
     assert colon(I, maximal_ideal(rxyz)).gens == want
     assert len(calls) == 2  # the meets of three colons by a variable; none inside them
+
+
+def _colon_by_meets(I, J, limits=Limits()):
+    out = colon_by_poly(I, J.gens[0], limits)
+    for g in J.gens[1:]:
+        out = intersect(out, colon_by_poly(I, g, limits), limits)
+    return out.gens
+
+
+@pytest.mark.parametrize("gens, divisor, limits, meets", [
+    # a positive-dimensional numerator: two meets and one intersection
+    # inside the colon by X^2
+    ("X^3, X*Y, Y^2 - X*Z", "X^2, Y, Z", Limits(), 3),
+    # a divisor with a generator of two terms: one meet and one intersection
+    # inside its colon
+    ("X^3, X*Y, Y^2 - X*Z, Z^4", "X + Y^2, Z", Limits(), 2),
+    # more standard monomials than dim_cap
+    ("X^3, X*Y, Y^2 - X*Z, Z^4", "X, Y, Z", Limits(dim_cap=3), 2),
+])
+def test_colon_falls_back_to_the_partial_colons(monkeypatch, rxyz, gens, divisor, limits, meets):
+    I, J = ideal(rxyz, gens), ideal(rxyz, divisor)
+    want = _colon_by_meets(I, J, limits)
+    assert want == _colon_by_meets(I, J)  # dim_cap does not change the colon
+    I = ideal(rxyz, gens)
+    calls = []
+    monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
+    assert colon(I, J, limits).gens == want
+    assert len(calls) == meets
+
+
+def test_artinian_colon_by_terms_intersects_nothing(monkeypatch, rxyz):
+    I = ideal(rxyz, "X^3, X*Y, Y^2 - X*Z, Z^4")
+    J = ideal(rxyz, "X^2, 3*Y*Z, Z^3")
+    want = _colon_by_meets(I, J)
+    I = ideal(rxyz, "X^3, X*Y, Y^2 - X*Z, Z^4")
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    assert colon(I, J).gens == want
+    assert colon(I, ideal(rxyz, "1, X")).gens == I.groebner_basis()
 
 
 def test_graded_colon_by_variable_keeps_the_step_budget(monkeypatch):

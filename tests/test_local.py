@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 import socleq.groebner
-from socleq import FP, QQ, RingSpec, idealops, localring, parse_poly, parse_poly_list
+from socleq import FP, QQ, RingSpec, idealops, parse_poly, parse_poly_list
 from socleq.errors import InputError, RingMismatchError, UndecidableError
-from socleq.groebner import Ideal, lead_ideal_dimension, normal_forms
-from socleq.idealops import colon, ideal_power, ideal_product, intersect
+from socleq.groebner import Ideal, lead_ideal_dimension, normal_forms, standard_monomials
+from socleq.idealops import colon, colon_by_poly, ideal_power, ideal_product, intersect
 from socleq.limits import DEFAULT_LIMITS, Limits
 from socleq.localring import Containment, LocalRing, StableLength, check_socle_square
 from socleq.zoo import build
@@ -324,7 +324,16 @@ def test_socle_square_matches_the_two_sided_verdicts(ident, qtext):
 
 
 def _no_intersect(*args, **kw):
-    raise AssertionError("the socle of a graded Artinian quotient must not intersect")
+    raise AssertionError("a colon of an Artinian quotient by terms must not intersect")
+
+
+def _elimination_colon(I, J):
+    """The generators of I : J as the intersection of the colons by each
+    generator of J, the route of colon before its kernel route."""
+    out = colon_by_poly(I, J.gens[0])
+    for g in J.gens[1:]:
+        out = intersect(out, colon_by_poly(I, g))
+    return out.gens
 
 
 SOCLE_CASES = [
@@ -348,14 +357,40 @@ SOCLE_CASES = [
 def test_graded_artinian_socle_matches_the_colon(monkeypatch, field, ident, qtext):
     loc = build(ident, field).local
     Q = loc.ideal(qtext)
-    want = colon(loc.full(Q), loc.maximal())
+    want = _elimination_colon(loc.full(Q), loc.maximal())
     loc = build(ident, field).local
     monkeypatch.setattr(idealops, "intersect", _no_intersect)
     got = loc.socle_of(Q)
-    assert got.gens == want.gens
+    assert got.gens == want
     if ident == "regular3":
         assert [str(g) for g in got.gens] == ["1"]
     # the output carries its reduced basis
+    runs = []
+    monkeypatch.setattr(socleq.groebner, "buchberger", lambda *a, **kw: runs.append(a))
+    assert got.groebner_basis() == got.gens and runs == []
+
+
+def _two_points(field):
+    """k[X,Y]/(X^2 - X, Y^2): the origin and (1, 0)."""
+    r = RingSpec(field, ["X", "Y"])
+    return LocalRing(r, list(parse_poly_list("X^2 - X, Y^2", r)))
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("ident, qtext", [("almost_dvr", "Y^2 - X"), ("triple_line", "Z + X + Y"),
+                                          ("triple_line", "Z + X + Y^2"), ("two_points", "")])
+@pytest.mark.parametrize("divisor", ["m", "X^2, Y"])
+def test_artinian_colon_by_terms_matches_elimination(monkeypatch, field, ident, qtext, divisor):
+    def numerator():
+        loc = _two_points(field) if ident == "two_points" else build(ident, field).local
+        J = loc.maximal() if divisor == "m" else loc.ideal(divisor)
+        return loc.full(loc.ideal(qtext) if qtext else loc.zero_ideal()), J
+
+    want = _elimination_colon(*numerator())
+    I, J = numerator()
+    monkeypatch.setattr(idealops, "intersect", _no_intersect)
+    got = colon(I, J)
+    assert got.gens == want
     runs = []
     monkeypatch.setattr(socleq.groebner, "buchberger", lambda *a, **kw: runs.append(a))
     assert got.groebner_basis() == got.gens and runs == []
@@ -367,7 +402,7 @@ def test_graded_artinian_socle_reduces_each_product_once(monkeypatch):
     loc = build("semigroup3", FP(32003)).local
     Q = loc.ideal("X2*X3^2")
     seen = []
-    real = localring.normal_forms
+    real = socleq.groebner.normal_forms
 
     def recorded(fs, basis, limits, trunc=None):
         fs = list(fs)
@@ -375,7 +410,7 @@ def test_graded_artinian_socle_reduces_each_product_once(monkeypatch):
             seen.append((f, rem))
             yield rem
 
-    monkeypatch.setattr(localring, "normal_forms", recorded)
+    monkeypatch.setattr(socleq.groebner, "normal_forms", recorded)
     loc.socle_of(Q)
     assert seen
     assert len({f for f, _ in seen}) == len(seen)
@@ -391,14 +426,17 @@ def test_graded_artinian_socle_emits_no_audit_event(monkeypatch):
     assert I.gens and events == []
 
 
-def test_inhomogeneous_socle_still_intersects(monkeypatch):
-    loc = build("almost_dvr", FP(32003)).local
-    Q = loc.ideal("Y^2 - X")
+def test_socle_over_a_positive_dimensional_global_quotient_intersects(monkeypatch):
+    # A = k[X,Y]_(X,Y)/(X*Y - X, Y^2 - Y) is the field k, but S/a also holds
+    # the line Y = 1, so the kernel route does not apply and the colon by m
+    # eliminates
+    r = RingSpec(FP(32003), ["X", "Y"])
+    loc = LocalRing(r, list(parse_poly_list("X*Y - X, Y^2 - Y", r)))
+    want = _elimination_colon(loc.defining, loc.maximal())
     calls = []
     monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
-    I = loc.socle_of(Q)
-    assert calls
-    assert I.gens == colon(loc.full(Q), loc.maximal()).gens
+    assert loc.socle_of(loc.zero_ideal()).gens == want
+    assert len(calls) == 3  # one inside each partial colon, and their meet
 
 
 def test_containment_tests_generators_in_order_up_to_the_first_miss():
@@ -417,10 +455,10 @@ def test_standard_monomials_exist_exactly_for_artinian_lead_ideals():
     for ident, qtext in SOCLE_CASES + [("almost_dvr", "X"), ("two_planes", "X"), ("regular2", "X")]:
         loc = build(ident, FP(32003)).local
         unit = Ideal(loc.ring, [loc.ring.one()]).groebner_basis()
-        assert loc._standard_monomials(unit) == []
+        assert standard_monomials(unit, loc.ring) == []
         for ideal in (loc.defining, loc.full(loc.ideal(qtext))):
             basis = ideal.groebner_basis()
-            std = loc._standard_monomials(basis)
+            std = standard_monomials(basis, loc.ring)
             assert (std is None) == (lead_ideal_dimension(basis, loc.ring) > 0)
             cases += std is None
     assert cases  # both outcomes occur
@@ -514,7 +552,7 @@ def test_filtered_lengths_and_containments_match_the_truncated_loop(monkeypatch,
         want_in = [_truncated_containment(ref, I, J, want.level) for I in tests] if want else []
 
         loc = build(ident, field).local
-        std = loc._standard_monomials(loc.full(J).groebner_basis())
+        std = standard_monomials(loc.full(J).groebner_basis(), loc.ring)
         with monkeypatch.context() as patch:
             if std is not None:
                 filtered += 1
@@ -548,7 +586,7 @@ def test_inhomogeneous_known_lengths(monkeypatch, field):
     # two points, the origin and (1, 0): the filtration drops the second
     loc, got, dims = length("X^2 - X, Y^2")
     assert got == StableLength(2, 2) and dims == [(1, 1), (2, 2), (3, 2)]
-    assert len(loc._standard_monomials(loc.defining.groebner_basis())) == 4
+    assert len(standard_monomials(loc.defining.groebner_basis(), loc.ring)) == 4
     # X = X^2 = X^3 = ... lies in m^K for every K, so X is 0 in A; Y is not
     assert loc.check_contained(loc.ideal("X"), loc.zero_ideal()) == Containment(True, "finite-colength", level=2)
     outside = loc.check_contained(loc.ideal("X, Y"), loc.zero_ideal())

@@ -235,10 +235,13 @@ def test_powered_split_reuses_intersections(regular2, intersect_calls):
 
 
 def test_colon_memo_hit_skips_intersect(cp, intersect_calls):
-    I, m = cp.full(cp.ideal("Y^3")), cp.maximal()
+    # S/a is positive dimensional, so the colon meets its partial colons
+    I, m = cp.defining, cp.maximal()
     plain = colon(I, m, cp.limits)
     memo = {}
+    before = len(intersect_calls)
     assert colon(I, m, cp.limits, memo).gens == plain.gens
+    assert len(intersect_calls) > before
     before = len(intersect_calls)
     assert colon(I, m, cp.limits, memo).gens == plain.gens
     assert len(intersect_calls) == before
