@@ -12,27 +12,6 @@ criterion and a conservative chain criterion prune pairs; a pair is only ever
 skipped against partner pairs that were themselves certified (reduced to
 zero, product-skipped, or chain-skipped earlier), which keeps the pruning
 acyclic and therefore sound.
-
-An optional plain-degree truncation supports Artinian quotient computations:
-with trunc=K the engine computes the reduced basis of the input ideal PLUS
-the K-th power of the ideal of all variables.  Every monomial of total degree
-K is installed as a basis element up front (a "cover"), so deleting terms of
-total degree >= K during reduction is ordinary division by a cover.  S-pairs
-between a polynomial and a cover are what propagate low-degree consequences
-of high-degree cancellations (the inhomogeneous cascade), so they are real
-pairs here; only those whose lcm has total degree >= K + 2 are dropped, which
-is sound because such an lcm always admits a third degree-K divisor whose two
-sub-lcms divide it strictly, giving a well-founded chain argument.
-
-Covers need no scan.  Every monomial of plain degree K is a cover, and every
-other lead has plain degree < K, because reduction deletes the terms of
-degree >= K.  So the covers that divide a monomial u of degree K + e are
-exactly its divisors of degree K: none when e < 0, u itself when e = 0, and
-u / x_v for each v in the support of u when e = 1; only e >= 2, which is
-rare, lists them by a scan.  Nor does a cover ever divide another lead: the
-other covers are different monomials of the same degree and every other lead
-has a smaller one.  So the chain criterion and the minimality test of the
-reduced basis scan only the non-cover elements and look the covers up.
 """
 
 from __future__ import annotations
@@ -50,7 +29,6 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     RingSpec,
-    exponent_tuples,
     mono_div,
     mono_divides,
     mono_gcd_is_one,
@@ -81,13 +59,12 @@ class _Steps:
 class _Elt:
     """A monic basis element in working form."""
 
-    __slots__ = ("lead", "tail", "is_monomial", "cover")
+    __slots__ = ("lead", "tail", "is_monomial")
 
-    def __init__(self, lead: Monomial, tail: tuple, cover: bool = False):
+    def __init__(self, lead: Monomial, tail: tuple):
         self.lead = lead
         self.tail = tail  # ((mono, coeff), ...) of the non-lead terms
         self.is_monomial = not tail
-        self.cover = cover  # degree-K monomial installed by a truncated run
 
 
 class _OrderKeys(dict):
@@ -104,14 +81,11 @@ class _OrderKeys(dict):
 
 
 class _Engine:
-    def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps, trunc: int | None):
+    def __init__(self, ring: RingSpec, order: MonomialOrder, steps: _Steps):
         self.ring = ring
         self.keyf = _OrderKeys(order, ring.weights).__getitem__
         self.steps = steps
-        self.trunc = trunc
         self.basis: list[_Elt] = []
-        self.divs: list[_Elt] = []  # basis minus covers, the divisor scan list
-        self.cover_at: dict = {}  # cover monomial -> its index in basis
         self.pairs: list = []  # heap of (wdeg(lcm), i, j, lcm)
         self.certified: set = set()
 
@@ -120,19 +94,13 @@ class _Engine:
     def reduce_full(self, acc: dict) -> dict:
         """Fully reduce acc (a {mono: coeff} dict, consumed) modulo the basis."""
         fld = self.ring.field
-        keyf, trunc, divs = self.keyf, self.trunc, self.divs
+        keyf, basis = self.keyf, self.basis
         out = {}
         while acc:
             m = max(acc, key=keyf)
             c = acc.pop(m)
-            if trunc is not None and plain_degree(m) >= trunc:
-                self.steps.spend()
-                continue
             hit = None
-            # covers are absent from divs on purpose: they cannot divide a
-            # term that survived the trunc check (it has plain degree < K,
-            # the cover has exactly K)
-            for elt in divs:
+            for elt in basis:
                 if all(map(le, elt.lead, m)):
                     hit = elt
                     break
@@ -152,17 +120,6 @@ class _Engine:
 
     # -- basis growth -----------------------------------------------------------
 
-    def add_cover(self, mono: Monomial) -> None:
-        """Install a degree-K monomial directly, bypassing reduction.
-
-        Covers are added before any generator, so the only existing elements
-        are other covers and those pairs are monomial-monomial (S identically
-        zero); no pair bookkeeping is needed.  So covers are basis[:C] and
-        divs is basis[C:] for the C = len(cover_at) covers.
-        """
-        self.cover_at[mono] = len(self.basis)
-        self.basis.append(_Elt(mono, (), cover=True))
-
     def insert(self, acc: dict) -> None:
         acc = self.reduce_full(acc)
         if not acc:
@@ -175,7 +132,6 @@ class _Engine:
         elt = _Elt(lead, tail)
         t = len(self.basis)
         self.basis.append(elt)
-        self.divs.append(elt)
         for s in range(t):
             other = self.basis[s]
             pair = (s, t)
@@ -186,11 +142,6 @@ class _Engine:
                 self.certified.add(pair)  # product criterion
                 continue
             lcm = mono_lcm(other.lead, elt.lead)
-            if other.cover and plain_degree(lcm) >= self.trunc + 2:
-                # redundant by the chain argument in the module docstring;
-                # deliberately NOT marked certified, so the runtime chain
-                # criterion never cites it and stays time-ordered acyclic
-                continue
             heapq.heappush(self.pairs, (self.ring.wdeg(lcm), s, t, lcm))
 
     def _pair_ok(self, a: int, b: int) -> bool:
@@ -204,28 +155,12 @@ class _Engine:
         """Does some third element k, with lead(k) dividing lcm, have both
         (i, k) and (j, k) known to reduce to zero?"""
         pair_ok = self._pair_ok
-        for k, elt in enumerate(self.divs, len(self.cover_at)):
+        for k, elt in enumerate(self.basis):
             if k == i or k == j:
                 continue
             if all(map(le, elt.lead, lcm)):
                 if pair_ok(i, k) and pair_ok(j, k):
                     return True
-        if self.trunc is None:
-            return False
-        # the covers dividing lcm, looked up (see the module docstring)
-        cover_at = self.cover_at
-        excess = plain_degree(lcm) - self.trunc
-        if excess < 0:
-            return False
-        if excess == 0:
-            found = (cover_at[lcm],)
-        elif excess == 1:
-            found = [cover_at[lcm[:v] + (e - 1,) + lcm[v + 1:]] for v, e in enumerate(lcm) if e]
-        else:
-            found = [k for c, k in cover_at.items() if all(map(le, c, lcm))]
-        for k in found:
-            if k != i and k != j and pair_ok(i, k) and pair_ok(j, k):
-                return True
         return False
 
     def run(self) -> None:
@@ -260,17 +195,13 @@ class _Engine:
         keyf = self.keyf
         live = sorted(self.basis, key=lambda elt: keyf(elt.lead))
         kept: list[_Elt] = []
-        divs: list[_Elt] = []  # the kept non-cover elements
         for elt in live:
-            # a cover divides no other lead, so only non-covers can reject
             li = elt.lead
-            if not any(all(map(le, d.lead, li)) for d in divs):
+            if not any(all(map(le, d.lead, li)) for d in kept):
                 kept.append(elt)
-                if not elt.cover:
-                    divs.append(elt)
-        # the run is over: divs becomes the kept non-cover elements (lead(i)
+        # the run is over: the basis becomes the kept elements (lead(i)
         # divides no monomial below it, so it never fires on its own tail)
-        self.divs = divs
+        self.basis = kept
         one = self.ring.field.one
         out = []
         for elt in kept:
@@ -282,32 +213,20 @@ def buchberger(
     gens: Sequence[Polynomial],
     order: MonomialOrder | None = None,
     limits: Limits = DEFAULT_LIMITS,
-    trunc: int | None = None,
-    ring: RingSpec | None = None,
 ) -> list:
     """Reduced Groebner basis of the given generators.
 
-    Returns a list of Polynomials sorted ascending by lead monomial.  With
-    trunc=K the result is the reduced basis of the ideal generated by gens
-    plus the K-th power of the ideal of all variables (gens may then be
-    empty if ring is given).
+    Returns a list of Polynomials sorted ascending by lead monomial.
     """
     gens = [g for g in gens if g]
-    if not gens and (trunc is None or ring is None):
+    if not gens:
         raise InputError("cannot compute a basis for the zero list of generators")
-    if gens:
-        ring = gens[0].ring
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("generators from different rings")
+    ring = gens[0].ring
+    for g in gens:
+        if g.ring != ring:
+            raise RingMismatchError("generators from different rings")
     order = order or ring.default_order
-    steps = _Steps(limits.step_budget)
-    eng = _Engine(ring, order, steps, trunc)
-    if trunc is not None:
-        if trunc < 1:
-            raise InputError("truncation degree must be at least 1")
-        for mono in sorted(exponent_tuples(ring.nvars, trunc), key=eng.keyf):
-            eng.add_cover(mono)
+    eng = _Engine(ring, order, _Steps(limits.step_budget))
     for g in gens:
         eng.insert(dict(g.terms))
     eng.run()
@@ -318,7 +237,6 @@ def normal_forms(
     fs: Iterable[Polynomial],
     basis: Sequence[Polynomial],
     limits: Limits = DEFAULT_LIMITS,
-    trunc: int | None = None,
 ):
     """Yield the remainder of each f in fs on full division by the
     (Groebner) basis, under the ring's default order, one f at a time.
@@ -330,13 +248,13 @@ def normal_forms(
     for f in fs:
         if eng is None:
             ring, fld = f.ring, f.ring.field
-            eng = _Engine(ring, ring.default_order, None, trunc)
+            eng = _Engine(ring, ring.default_order, None)
             for g in basis:
                 if g.ring != ring:
                     raise RingMismatchError("basis element from a different ring")
                 lead, lc = g.lead()
                 inv = fld.inv(lc)
-                eng.divs.append(_Elt(lead, tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)))
+                eng.basis.append(_Elt(lead, tuple((m, fld.mul(inv, c)) for m, c in g.terms if m != lead)))
         elif f.ring != ring:
             raise RingMismatchError("polynomials from different rings")
         eng.steps = _Steps(limits.step_budget)
@@ -347,11 +265,10 @@ def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
     limits: Limits = DEFAULT_LIMITS,
-    trunc: int | None = None,
 ) -> Polynomial:
     """Remainder of f on full division by the (Groebner) basis, under the
     ring's default order."""
-    return next(normal_forms((f,), basis, limits, trunc))
+    return next(normal_forms((f,), basis, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +277,7 @@ def normal_form(
 
 class Ideal:
     """A finitely generated ideal of the ambient ring, with a cache of
-    reduced Groebner bases keyed by (order, trunc) (first writer wins, safe
+    reduced Groebner bases keyed by monomial order (first writer wins, safe
     for concurrent readers).  A LocalRing interns its Ideals by generator
     tuple: one basis store per ring, never shared across rings.
     """
@@ -386,7 +303,7 @@ class Ideal:
         basis in the default order of ring, ascending by lead: that basis is
         stored, so groebner_basis() returns it without a run."""
         ideal = cls(ring, basis)
-        ideal._cache[(ring.default_order, None)] = ideal.gens
+        ideal._cache[ring.default_order] = ideal.gens
         return ideal
 
     def __repr__(self):
@@ -398,18 +315,14 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def groebner_basis(self, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS,
-                       trunc: int | None = None) -> tuple:
-        """Reduced basis of the ideal, or with trunc=K of the ideal plus m^K."""
-        key = (order or self.ring.default_order, trunc)
-        cached = self._cache.get(key)
+    def groebner_basis(self, order: MonomialOrder | None = None, limits: Limits = DEFAULT_LIMITS) -> tuple:
+        """Reduced basis of the ideal."""
+        order = order or self.ring.default_order
+        cached = self._cache.get(order)
         if cached is not None:
             return cached
-        if not self.gens and trunc is None:
-            basis: tuple = ()
-        else:
-            basis = tuple(buchberger(self.gens, key[0], limits, trunc=trunc, ring=self.ring))
-        return self._cache.setdefault(key, basis)
+        basis = tuple(buchberger(self.gens, order, limits)) if self.gens else ()
+        return self._cache.setdefault(order, basis)
 
     def is_homogeneous(self, limits: Limits = DEFAULT_LIMITS) -> bool:
         """Is the ideal weighted homogeneous for the ring's weights?

@@ -12,7 +12,9 @@ class Limits:
     step_budget    - Buchberger reduction steps per basis computation
     trunc_k_budget - largest truncation level tried while waiting for
                      quotient dimensions to stabilize
-    dim_cap        - hard cap on truncated-quotient dimensions
+    dim_cap        - hard cap on the standard monomials counted for one
+                     quotient dimension or finite-dimensional quotient,
+                     and the oracle's default slice width
     """
 
     step_budget: int = 10_000_000

@@ -18,9 +18,10 @@ every local question is answered by one of three certified routes:
   shrinks to the factors away from the origin and V/m^K V at the flat step
   is V_m = A/bA.  Membership in b + m^K is then NF(f) in m^K V.  Otherwise
   (a positive-dimensional lead ideal, or more than dim_cap standard
-  monomials) each d_K comes from a truncated basis of b + m^K, and
-  membership is plain normal form against it.  The audit of these events
-  rests on truncated slices of b + m^K (see `oracle`).
+  monomials) each d_K is counted off the reduced basis of b + m^K, an
+  ordinary ideal of the store generated by b and the monomials of plain
+  degree K, and membership is plain normal form against it.  The audit of
+  these events rests on truncated slices of b + m^K (see `oracle`).
 
 * graded: if b is homogeneous for the ring's weights, all its associated
   primes sit inside m, so bA cap S = b and S-level normal form already
@@ -34,9 +35,9 @@ every local question is answered by one of three certified routes:
 Lengths of finite modules W/b with m^N W inside b are ranks of finitely many
 normal forms, taken over the monomial multipliers of degree below N.
 
-Basis store: a LocalRing interns each S-ideal a + J by its deduplicated
-generator tuple, and the Ideal caches its bases by truncation (None or K), so
-every basis the ring reads is computed once.  The store lives and dies with
+Basis store: a LocalRing interns each S-ideal a + J, and each a + J + m^K,
+by its deduplicated generator tuple, and the Ideal caches its reduced basis,
+so every basis the ring reads is computed once.  The store lives and dies with
 its LocalRing and is never shared across rings.
 """
 
@@ -158,10 +159,22 @@ class LocalRing:
 
     # -- lengths ------------------------------------------------------------------
 
+    def _basis(self, full: Ideal, K: int | None) -> tuple:
+        """Reduced basis of the interned ideal full, or with K given of
+        full + m^K, interned as the generators of full followed by the
+        monomials of plain degree K.  The monomials come in descending
+        default order, which measured fastest of the orders tried on
+        inhomogeneous presentations (see BENCH_no_truncated_mode.json)."""
+        if K is not None:
+            one = self.ring.field.one
+            monos = (self.ring.from_terms({m: one}) for m in self.ring.monomials_of_plain_degree(K))
+            full = self._intern((*full.gens, *monos))
+        return full.groebner_basis(None, self.limits)
+
     def quotient_dim_at(self, I: Ideal, K: int) -> int:
         """d_K = dim_k S/(a + I + m^K), an exact finite number for every K."""
         full = self.full(I)
-        leads = [g.lead()[0] for g in full.groebner_basis(None, self.limits, trunc=K)]
+        leads = [g.lead()[0] for g in self._basis(full, K)]
         dK = len(standard_monomials_below(leads, self.ring, K, cap=self.limits.dim_cap))
         self._emit({"kind": "quotient_dim", "ring": self.ring, "gens": full.gens, "K": K, "dim": dK})
         return dK
@@ -186,7 +199,8 @@ class LocalRing:
         When the reduced basis B of a + I has a lead ideal of dimension at
         most 0, the d_K come from the m-adic filtration of V = S/(a + I)
         (see `_filtration`), and its stable span is kept for membership;
-        otherwise, or past dim_cap standard monomials, from truncated bases.
+        otherwise, or past dim_cap standard monomials, from the bases of
+        a + I + m^K.
         """
         full = self.full(I)
         basis = full.groebner_basis(None, self.limits)
@@ -288,8 +302,7 @@ class LocalRing:
             _, basis, span = stable
             rems = (span.reduce(dict(rem.terms)) for rem in normal_forms(fs, basis, self.limits))
         else:
-            basis = target.groebner_basis(None, self.limits, trunc=K)
-            rems = normal_forms(fs, basis, self.limits, trunc=K)
+            rems = normal_forms(fs, self._basis(target, K), self.limits)
         for f, rem in zip(fs, rems):
             member = not rem
             self._emit({"kind": "membership", "ring": self.ring, "f": f, "gens": target.gens, "K": K, "member": member})

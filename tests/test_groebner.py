@@ -72,34 +72,43 @@ def test_membership_and_normal_form(rxy):
     assert normal_form(rxy.zero(), basis) == rxy.zero()
 
 
-def _each_normal_form(fs, basis, limits, trunc):
+def _plus_power(gens, ring, K):
+    """gens followed by the monomials of plain degree K (none when K is
+    None), generators of the ideal (gens) + m^K."""
+    if K is None:
+        return list(gens)
+    one = ring.field.one
+    return [*gens, *(ring.from_terms({m: one}) for m in ring.monomials_of_plain_degree(K))]
+
+
+def _each_normal_form(fs, basis, limits):
     """normal_form of each f in turn, None where it exceeds the budget."""
     out = []
     for f in fs:
         try:
-            out.append(normal_form(f, basis, limits, trunc))
+            out.append(normal_form(f, basis, limits))
         except BudgetExceededError:
             out.append(None)
     return out
 
 
-@pytest.mark.parametrize("trunc", [None, 7])
-def test_normal_forms_spend_one_budget_per_element(trunc):
+@pytest.mark.parametrize("K", [None, 7])
+def test_normal_forms_spend_one_budget_per_element(K):
     r = RingSpec(FP(32003), ["X", "Y", "Z"])
     gens = parse_poly_list("X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", r)
-    basis = buchberger(list(gens), trunc=trunc)
+    basis = buchberger(_plus_power(gens, r, K))
     fs = parse_poly_list("Z^2, Y^3*Z^3 - X^2, X*Z^3 + Y^3, Y^5 + Z^5, Z^6 + Y*Z", r)
-    full = _each_normal_form(fs, basis, Limits(), trunc)
-    assert list(normal_forms(fs, basis, Limits(), trunc)) == full
+    full = _each_normal_form(fs, basis, Limits())
+    assert list(normal_forms(fs, basis, Limits())) == full
     assert list(normal_forms([], basis)) == []
     # each element gets the whole budget: normal_forms stops exactly where
     # the first single call runs out, and not before
     hit = 0
     for budget in range(6):
-        want = _each_normal_form(fs, basis, Limits(step_budget=budget), trunc)
+        want = _each_normal_form(fs, basis, Limits(step_budget=budget))
         got = []
         with pytest.raises(BudgetExceededError) if None in want else nullcontext():
-            for rem in normal_forms(iter(fs), basis, Limits(step_budget=budget), trunc):
+            for rem in normal_forms(iter(fs), basis, Limits(step_budget=budget)):
                 got.append(rem)
         stop = want.index(None) if None in want else len(want)
         assert got == want[:stop]
@@ -200,24 +209,24 @@ def test_standard_monomials(rxy):
 
 
 def test_truncated_run_recovers_local_behavior():
-    # (X + X^2) is locally (X): the truncated basis at any level K sees that
+    # (X + X^2) is locally (X): the basis of (X + X^2) + m^K at any level K
+    # sees that
     r = RingSpec(QQ, ["X"])
     g = parse_poly("X + X^2", r)
     for K in (3, 5, 8):
-        basis = buchberger([g], trunc=K)
+        basis = buchberger(_plus_power([g], r, K))
         assert [str(b) for b in basis] == ["X"]
 
 
 def test_truncated_run_multivariate_cascade():
     # Substituting z = Y - X^2 turns (X*Y - X^3, Y^2) into (X*z, z^2 + X^4)
     # up to the ideal itself, so the local quotient has basis
-    # 1, X, X^2, X^3, X^4, z and length 6.  At truncation level 4 the class
-    # of X^4 dies and the count is 5; the lead ideal must pick up X^2*Y,
-    # which only appears if the pair of X^3 - X*Y against the degree-4
-    # monomial X^4 is actually processed.
+    # 1, X, X^2, X^3, X^4, z and length 6.  Modulo m^4 the class of X^4
+    # dies and the count is 5; the lead ideal must pick up X^2*Y, a
+    # consequence of X^3 - X*Y and the degree-4 monomial X^4.
     r = RingSpec(QQ, ["X", "Y"])
     gens = parse_poly_list("X*Y - X^3, Y^2", r)
-    basis = buchberger(list(gens), trunc=4)
+    basis = buchberger(_plus_power(gens, r, 4))
     names = [str(b) for b in basis]
     assert "X^2*Y" in names
     leads = min_lead_monomials(basis)
@@ -225,94 +234,59 @@ def test_truncated_run_multivariate_cascade():
     assert len(std) == 5
     # by level 6 the count stabilises at the true length
     for K in (6, 7):
-        bK = buchberger(list(gens), trunc=K)
+        bK = buchberger(_plus_power(gens, r, K))
         stdK = standard_monomials_below(min_lead_monomials(bK), r, K)
         assert len(stdK) == 6
 
 
 def test_truncated_run_empty_gens_gives_power_ideal():
     r = RingSpec(QQ, ["X", "Y"])
-    basis = buchberger([], trunc=2, ring=r)
+    basis = buchberger(_plus_power([], r, 2))
     assert [str(b) for b in basis] == ["Y^2", "X*Y", "X^2"]
 
 
-# Exact step counts of three fixed runs, measured with the generator-expression
-# monomial kernels that preceded the map kernels (the third with the map
-# kernels, before covers were looked up rather than scanned).  A run may spend
-# exactly N reduction steps, so budget N succeeds and N - 1 trips; any change
-# to the sequence of reductions moves N.  The first is a truncated run with
-# covers Z^11, X*Z^10, ...; the second is the elimination behind
-# intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)); the third is a truncated run
-# in four variables.  All skip pairs by the chain criterion; the last column
-# lists the lcm degrees, less K, at which the chain criterion of a truncated
-# run skips a pair ("2" stands for any excess >= 2, where covers are scanned).
+# Exact step counts of three fixed runs.  A run may spend exactly N reduction
+# steps, so budget N succeeds and N - 1 trips; any change to the sequence of
+# reductions moves N.  The first and third are runs on generators followed by
+# the monomials of plain degree K in descending default order, the ideal
+# (gens) + m^K (K = 11 and K = 5); the second is the elimination behind
+# intersect((X^3, XY, Y^2 - XZ, Z^9 + X), (Z)), pinned at 11 steps since
+# the generator-expression monomial kernels.  All skip pairs by the chain
+# criterion.
 PINNED_RUNS = [
-    (["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", {"trunc": 11}, 33,
-     ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"], {0, 1}),
-    (["T", "X", "Y", "Z"], "T*X^3, T*X*Y, T*Y^2 - T*X*Z, T*Z^9 + T*X, Z - T*Z",
+    (["X", "Y", "Z"], "X^3, X*Y, Y^2 - X*Z, Z^4 + X*Z^2 + Y", 11, {}, 116,
+     ["Y^2 - X*Z", "X*Y", "X^2*Z", "X^3", "Z^4 + X*Z^2 + Y"]),
+    (["T", "X", "Y", "Z"], "T*X^3, T*X*Y, T*Y^2 - T*X*Z, T*Z^9 + T*X, Z - T*Z", None,
      {"order": Block((0,))}, 11,
      ["Y^2*Z - X*Z^2", "X*Y*Z", "X^2*Z", "Z^10 + X*Z", "Y*Z^9", "T*Z - Z",
-      "Z^9 + T*X", "T*Y^2 - X*Z"], set()),
-    (["W", "X", "Y", "Z"], "W*X - Y^2, X^3 + W*Z, Z^3 - W^2*Y", {"trunc": 5}, 36,
+      "Z^9 + T*X", "T*Y^2 - X*Z"]),
+    (["W", "X", "Y", "Z"], "W*X - Y^2, X^3 + W*Z, Z^3 - W^2*Y", 5, {}, 99,
      ["W*X - Y^2", "W^2*Y - Z^3", "X^3 + W*Z", "Z^4", "W*Z^3", "Y^2*Z^2", "W*Y*Z^2",
       "W^2*Z^2", "Y^3*Z", "X*Y^2*Z", "W*Y^2*Z", "W^3*Z", "W*Y^3 - X*Z^3",
-      "X^2*Y^2 + W^2*Z", "X*Y*Z^3", "X^2*Z^3", "X^2*Y*Z^2", "Y^5", "X*Y^4", "W^5"],
-     {0, 1, 2}),
+      "X^2*Y^2 + W^2*Z", "X*Y*Z^3", "X^2*Z^3", "X^2*Y*Z^2", "Y^5", "X*Y^4", "W^5"]),
 ]
 
 
-@pytest.mark.parametrize("names, text, kwargs, steps, expected, excesses", PINNED_RUNS,
+@pytest.mark.parametrize("names, text, K, kwargs, steps, expected", PINNED_RUNS,
                          ids=["truncated", "elimination", "truncated-4-vars"])
-def test_reduction_sequence_is_pinned_by_its_step_count(monkeypatch, names, text, kwargs,
-                                                        steps, expected, excesses):
-    gens = parse_poly_list(text, RingSpec(FP(32003), names))
+def test_reduction_sequence_is_pinned_by_its_step_count(monkeypatch, names, text, K, kwargs,
+                                                        steps, expected):
+    r = RingSpec(FP(32003), names)
+    gens = _plus_power(parse_poly_list(text, r), r, K)
     skips = []
     chain = groebner._Engine.chain_skippable
 
     def counted(self, i, j, lcm):
         skipped = chain(self, i, j, lcm)
-        excess = None if self.trunc is None else min(sum(lcm) - self.trunc, 2)
-        skips.append((excess, skipped))
+        skips.append(skipped)
         return skipped
 
     monkeypatch.setattr(groebner._Engine, "chain_skippable", counted)
     basis = buchberger(list(gens), limits=Limits(step_budget=steps), **kwargs)
     assert [str(b) for b in basis] == expected
-    assert any(skipped for _, skipped in skips)
-    assert {e for e, skipped in skips if skipped and e is not None and e >= 0} == excesses
+    assert any(skips)
     with pytest.raises(BudgetExceededError):
         buchberger(list(gens), limits=Limits(step_budget=steps - 1), **kwargs)
-
-
-def _chain_by_scan(eng, i, j, lcm, covers=True):
-    """The chain criterion by a scan of every basis element (of every
-    non-cover element when covers is False)."""
-    return any(k != i and k != j and (covers or not elt.cover) and mono_divides(elt.lead, lcm)
-               and eng._pair_ok(i, k) and eng._pair_ok(j, k) for k, elt in enumerate(eng.basis))
-
-
-def test_cover_lookups_answer_as_a_scan_of_every_element(monkeypatch):
-    chain = groebner._Engine.chain_skippable
-    needed = set()  # lcm excesses over K at which only a cover allows the skip
-
-    def checked(self, i, j, lcm):
-        skipped = chain(self, i, j, lcm)
-        assert skipped == _chain_by_scan(self, i, j, lcm)
-        if skipped and not _chain_by_scan(self, i, j, lcm, covers=False):
-            needed.add(min(sum(lcm) - self.trunc, 2))
-        return skipped
-
-    monkeypatch.setattr(groebner._Engine, "chain_skippable", checked)
-    rng = random.Random(1)
-    r = RingSpec(FP(32003), ["W", "X", "Y", "Z"])
-    for _ in range(60):
-        gens = []
-        for _ in range(rng.randint(2, 4)):
-            monos = {tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(rng.randint(1, 3))}
-            gens.append(r.from_terms({m: r.field.from_int(rng.choice((-2, -1, 1, 2)))
-                                      for m in monos if sum(m)}))
-        buchberger(gens, trunc=rng.randint(3, 6), ring=r)
-    assert needed == {0, 1, 2}
 
 
 def _standard_monomials_by_filter(leads, ring, k, cap=None):

@@ -10,6 +10,7 @@ from socleq.groebner import Ideal, lead_ideal_dimension, normal_forms, standard_
 from socleq.idealops import colon, colon_by_poly, ideal_power, ideal_product, intersect
 from socleq.limits import DEFAULT_LIMITS, Limits
 from socleq.localring import Containment, LocalRing, StableLength, check_socle_square
+from socleq.oracle import oracle_quotient_dim
 from socleq.zoo import build
 
 
@@ -43,15 +44,14 @@ def regular2():
 
 @pytest.fixture
 def buchberger_inputs(monkeypatch):
-    """Every buchberger input (generators, order, truncation) in call order."""
+    """Every buchberger input (generators, order) in call order."""
     seen = []
     real = socleq.groebner.buchberger
 
-    def counted(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, ring=None):
+    def counted(gens, order=None, limits=DEFAULT_LIMITS):
         gens = tuple(g for g in gens if g)
-        ring = gens[0].ring if gens else ring
-        seen.append((gens, order or ring.default_order, trunc))
-        return real(gens, order, limits, trunc, ring)
+        seen.append((gens, order or gens[0].ring.default_order))
+        return real(gens, order, limits)
 
     monkeypatch.setattr(socleq.groebner, "buchberger", counted)
     return seen
@@ -244,8 +244,7 @@ def test_graded_route_computes_the_target_basis_once(buchberger_inputs):
     got = loc.check_contained(ideal_power(I, 3), J)
     assert got.holds is True and got.method == "graded"
     target = loc.full(J).gens
-    assert sum(1 for gens, _, trunc in buchberger_inputs
-               if gens == target and trunc is None) <= 1
+    assert sum(1 for gens, _ in buchberger_inputs if gens == target) <= 1
 
 
 def test_reduction_number_computes_each_basis_once(buchberger_inputs):
@@ -404,9 +403,9 @@ def test_graded_artinian_socle_reduces_each_product_once(monkeypatch):
     seen = []
     real = socleq.groebner.normal_forms
 
-    def recorded(fs, basis, limits, trunc=None):
+    def recorded(fs, basis, limits):
         fs = list(fs)
-        for f, rem in zip(fs, real(fs, basis, limits, trunc)):
+        for f, rem in zip(fs, real(fs, basis, limits)):
             seen.append((f, rem))
             yield rem
 
@@ -478,8 +477,9 @@ def test_intern_returns_the_stored_ideal(triple_line):
 
 
 def _loop_reference(loc, J):
-    """The StableLength and the (K, dim) events of the loop over truncated
-    bases: quotient_dim_at at K = 1, 2, ... up to the first flat step."""
+    """The StableLength and the (K, dim) events of the loop over the bases
+    of a + J + m^K: quotient_dim_at at K = 1, 2, ... up to the first flat
+    step."""
     events = []
     loc.auditor = events.append
     prev, out = None, None
@@ -493,24 +493,29 @@ def _loop_reference(loc, J):
     return out, [(e["K"], e["dim"]) for e in events]
 
 
+def _plus_power(loc, gens, K):
+    """gens followed by every monomial of plain degree K."""
+    one = loc.ring.field.one
+    return [*gens, *(loc.ring.from_terms({m: one}) for m in loc.ring.monomials_of_plain_degree(K))]
+
+
 def _truncated_containment(loc, I, J, level):
     """Containment of I in J at the stable level by normal forms against
-    the truncated basis of a + J + m^level, with its membership events."""
-    basis = loc.full(J).groebner_basis(None, loc.limits, trunc=level)
+    the basis of a + J + m^level, with its membership events."""
+    basis = socleq.groebner.buchberger(_plus_power(loc, loc.full(J).gens, level), None, loc.limits)
     seen = []
-    for g, rem in zip(I.gens, normal_forms(I.gens, basis, loc.limits, trunc=level)):
+    for g, rem in zip(I.gens, normal_forms(I.gens, basis, loc.limits)):
         seen.append((g, level, not rem))
         if rem:
             return Containment(False, "finite-colength", witness=g, level=level), seen
     return Containment(True, "finite-colength", level=level), seen
 
 
-def _untruncated(real):
-    def buchberger(gens, order=None, limits=DEFAULT_LIMITS, trunc=None, ring=None):
-        assert trunc is None, "a truncated basis was computed"
-        return real(gens, order, limits, trunc, ring)
-
-    return buchberger
+def _carries_a_power(gens):
+    """Are the monomials of some plain degree K all among the generators, as
+    in a store ideal a + J + m^K?"""
+    monos = {g.terms[0][0] for g in gens if len(g.terms) == 1}
+    return any(set(gens[0].ring.monomials_of_plain_degree(K)) <= monos for K in {sum(m) for m in monos})
 
 
 def _random_poly(rng, nvars):
@@ -538,7 +543,7 @@ def _inhomogeneous_cases():
 
 
 @pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
-def test_filtered_lengths_and_containments_match_the_truncated_loop(monkeypatch, field):
+def test_filtered_lengths_and_containments_match_the_truncated_loop(field):
     filtered = 0
     for ident, jtext in _inhomogeneous_cases():
         ref = build(ident, field).local
@@ -553,18 +558,17 @@ def test_filtered_lengths_and_containments_match_the_truncated_loop(monkeypatch,
 
         loc = build(ident, field).local
         std = standard_monomials(loc.full(J).groebner_basis(), loc.ring)
-        with monkeypatch.context() as patch:
-            if std is not None:
-                filtered += 1
-                patch.setattr(socleq.groebner, "buchberger", _untruncated(socleq.groebner.buchberger))
-            events = []
-            loc.auditor = events.append
-            assert loc.length_of_quotient(J) == want, (ident, jtext)
-            assert [(e["K"], e["dim"]) for e in events] == want_dims
-            for I, (contained, members) in zip(tests, want_in):
-                events.clear()
-                assert loc.check_contained(I, J) == contained, (ident, jtext, I)
-                assert [(e["f"], e["K"], e["member"]) for e in events] == members
+        events = []
+        loc.auditor = events.append
+        assert loc.length_of_quotient(J) == want, (ident, jtext)
+        assert [(e["K"], e["dim"]) for e in events] == want_dims
+        for I, (contained, members) in zip(tests, want_in):
+            events.clear()
+            assert loc.check_contained(I, J) == contained, (ident, jtext, I)
+            assert [(e["f"], e["K"], e["member"]) for e in events] == members
+        # the filtration takes no basis of a + J + m^K; the loop does
+        assert any(map(_carries_a_power, loc._ideals)) == (std is None), (ident, jtext)
+        filtered += std is not None
     assert filtered >= 20
 
 
@@ -605,3 +609,53 @@ def test_inhomogeneous_known_lengths(monkeypatch, field):
     loc, got, dims = length("X^2 - X, Y^2", Limits(dim_cap=3))
     assert got == StableLength(2, 2) and dims == [(1, 1), (2, 2), (3, 2)]
     assert calls == [1, 2, 3]
+
+
+# Two inhomogeneous presentations with components away from the origin, so
+# the global bases of a and of each a + J below have positive-dimensional
+# lead ideals: every d_K and membership takes a basis of a + J + m^K.
+# Locally X*Y - X is X times a unit, so the first ring is the plane node
+# k[Y,Z]/(Z^2 - Z*Y), with d_K = 2K - 1; X lies in aA, but only the probe
+# route sees a, so that containment stays undecided.
+FALLBACK_RINGS = {"lines": ("XYZ", "X*Y - X, Z^2 - Z*Y"),
+                  "surfaces": ("WXYZ", "X*Y - X*W^2, Z^2 - Z*W + X^3")}
+_FALLBACK_J = "W*Y - W, Z*Y - Z, X^2*Y - X^2, Y^2 - Y"
+FALLBACK_CONTAINMENTS = [
+    ("lines", "X, Y, Z", "", False, "truncation-probe", "Y", 2),
+    ("lines", "X", "", None, "truncation-probe", None, 8),
+    ("lines", "Z^2", "", False, "truncation-probe", "Z^2", 3),
+    ("lines", "X, Y, Z", "Z - Y^2", False, "finite-colength", "Y", 3),
+    ("lines", "X, Z^2", "Z - Y^2", True, "finite-colength", None, 3),
+    ("surfaces", "W, X, Y, Z", "W, Y", False, "truncation-probe", "X", 2),
+    ("surfaces", "Y", "W, Y", None, "truncation-probe", None, 8),
+    ("surfaces", "X^2", "W, Y", False, "truncation-probe", "X^2", 3),
+    ("surfaces", "W, X, Y, Z", _FALLBACK_J, False, "finite-colength", "X", 2),
+    ("surfaces", "Y, Z, X*Z, W^2, X^2", _FALLBACK_J, True, "finite-colength", None, 2),
+]
+
+
+def _fallback_ring(name, field):
+    names, defining = FALLBACK_RINGS[name]
+    r = RingSpec(field, list(names))
+    return LocalRing(r, list(parse_poly_list(defining, r)), Limits(trunc_k_budget=8))
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("name", sorted(FALLBACK_RINGS))
+def test_fallback_quotient_dims_match_the_oracle(field, name):
+    loc = _fallback_ring(name, field)
+    assert standard_monomials(loc.defining.groebner_basis(), loc.ring) is None
+    dims = [loc.quotient_dim_at(loc.zero_ideal(), K) for K in range(1, 9)]
+    assert dims == [oracle_quotient_dim(loc.ring, loc.defining.gens, K) for K in range(1, 9)]
+    if name == "lines":
+        assert dims == [2 * K - 1 for K in range(1, 9)]
+
+
+@pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("name, itext, jtext, holds, method, witness, level", FALLBACK_CONTAINMENTS)
+def test_fallback_containments_are_known(field, name, itext, jtext, holds, method, witness, level):
+    loc = _fallback_ring(name, field)
+    J = loc.ideal(jtext) if jtext else loc.zero_ideal()
+    assert standard_monomials(loc.full(J).groebner_basis(), loc.ring) is None
+    want = Containment(holds, method, witness and parse_poly(witness, loc.ring), level)
+    assert loc.check_contained(loc.ideal(itext), J) == want
