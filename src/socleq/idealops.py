@@ -7,14 +7,16 @@ colon of I by two or more terms, when S/I is finite dimensional, is I plus
 the lifts of the common kernel of multiplication by those terms on the
 standard monomials (the multiplication-matrix view of FGLM): one row
 reduction and one basis run, for any grading.  Otherwise a colon meets the
-colons by each generator f.  A colon by a variable x_i, or by c*x_i, of a
-weighted-homogeneous ideal divides the reduced basis taken with x_i last by
-x_i (Bayer-Stillman), and then by c; every other colon by f intersects with
-(f) and divides exactly by f.
+colons by each generator f.  A colon of a weighted-homogeneous ideal by a
+term c*x^a, or by a power c*l^n of a linear form l whose variables share
+one weight, needs no elimination: a triangular change of coordinates makes
+l a variable x_p, the reduced basis taken with x_p last is divided by
+powers of x_p (Bayer-Stillman), and a term chains this over its support.
+Every other colon by f intersects with (f) and divides exactly by f.
 Saturation iterates the colon until it stabilises, reporting the exponent
 at which it did.  A caller that takes many colons of related ideals may
-pass a colon a dict of its own as an intersection memo; nothing here keeps
-one.
+pass a colon a dict of its own as a memo of colons and intersections;
+nothing here keeps one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import BudgetExceededError, InputError, RingMismatchError
 from .groebner import Ideal, buchberger, eliminate, multiplication_table, standard_monomials
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import Echelon
-from .ring import Polynomial, RingSpec, mono_div, mono_divides
+from .ring import Polynomial, RingSpec, mono_div, mono_divides, mono_mul
 
 
 def _same_ring(I: Ideal, J: Ideal) -> RingSpec:
@@ -166,56 +168,136 @@ def exact_div(h: Polynomial, f: Polynomial) -> Polynomial:
     return ring.from_terms(quot)
 
 
-def _meet(I: Ideal, J: Ideal, limits: Limits, memo: dict | None) -> Ideal:
-    """intersect(I, J), looked up first in memo by generator tuples.
+def _memoised(memo: dict | None, key, compute):
+    """compute(), looked up first in memo under key and stored there.
 
     The memo belongs to one caller and must only see ideals of one ring
     under one set of limits.
     """
     if memo is None:
-        return intersect(I, J, limits)
-    key = (I.gens, J.gens)
+        return compute()
     out = memo.get(key)
     if out is None:
-        out = memo[key] = intersect(I, J, limits)
+        out = memo[key] = compute()
     return out
 
 
-def _graded_colon_by_variable(I: Ideal, i: int, limits: Limits) -> Ideal:
-    """I : x_i for a weighted-homogeneous I, without elimination.
+def _meet(I: Ideal, J: Ideal, limits: Limits, memo: dict | None) -> Ideal:
+    """intersect(I, J), memoised under the generator tuples."""
+    return _memoised(memo, (I.gens, J.gens), lambda: intersect(I, J, limits))
 
-    Under weighted grevlex with x_i last, x_i divides the lead of a
-    homogeneous g iff it divides g, so dividing by x_i every element of the
-    reduced basis that it divides gives a basis of I : x_i (Bayer-Stillman;
-    Eisenbud, Prop. 15.12).
+
+def _substitution(ring: RingSpec, p: int, image: Polynomial):
+    """The ring endomorphism x_p -> image that fixes the other variables."""
+    mul = ring.field.mul
+    powers = [ring.one()]
+
+    def apply(g: Polynomial) -> Polynomial:
+        terms = []
+        for m, c in g.terms:
+            while len(powers) <= m[p]:
+                powers.append(powers[-1] * image)
+            rest = m[:p] + (0,) + m[p + 1:]
+            terms += [(mono_mul(pm, rest), mul(c, pc)) for pm, pc in powers[m[p]].terms]
+        # from_terms adds up the coefficients of equal monomials
+        return ring.from_terms(terms)
+
+    return apply
+
+
+def _linear_root(f: Polynomial):
+    """(p, r, n) with f = c*(x_p + r)^n for a unit c and a linear form r
+    free of x_p whose variables share the weight of x_p, or None.
+
+    x_p is the last variable whose n-th power is a term of f, and c is that
+    term's coefficient; the coefficient of x_p^(n-1)*x_j is then n*c*r_j.
+    The candidate is checked by expanding it.  None also when n is 0 in
+    the field, where the cross terms do not determine r.
+    """
+    ring, fld = f.ring, f.ring.field
+    n = sum(f.terms[0][0])
+    if any(sum(m) != n for m, _ in f.terms):
+        return None
+    pure = {m.index(n): c for m, c in f.terms if n in m}
+    if not pure:
+        return None
+    p = max(pure)
+    c = pure[p]
+    nc = fld.mul(fld.from_int(n), c)
+    if not nc:
+        return None
+    inv = fld.inv(nc)
+    # x_p^(n-1)*x_j with its x_p^(n-1) removed is x_j
+    rest = {m[:p] + (0,) + m[p + 1:]: fld.mul(a, inv) for m, a in f.terms if m[p] == n - 1}
+    if any(ring.weights[m.index(1)] != ring.weights[p] for m in rest):
+        return None
+    r = ring.from_terms(rest)
+    if ((ring.gens()[p] + r) ** n).scale(c) != f:
+        return None
+    return p, r, n
+
+
+def _graded_colon(I: Ideal, steps, limits: Limits) -> Ideal:
+    """I : l_1^n_1 ... l_k^n_k for a weighted-homogeneous I, without
+    elimination, as its reduced basis.  steps lists each factor as
+    (p, r, n) with l = x_p + r, r a linear form free of x_p whose variables
+    share the weight of x_p (r = None for a variable).
+
+    Each step takes the colon of the previous one.  The triangular
+    substitution x_p -> x_p - r keeps the weights and maps l to x_p.
+    Under weighted grevlex with x_p last, x_p^k divides the lead of a
+    homogeneous g iff it divides g, so dividing each element of the basis
+    in that order by x_p^min(n, e_g), with e_g the largest such k, gives a
+    basis of the colon by x_p^n (Bayer-Stillman; Eisenbud, Prop. 15.12);
+    x_p -> x_p + r maps it back.  A step whose x_p divides no basis element
+    leaves the ideal as it is.
     """
     ring = I.ring
-    basis = reduced = I.groebner_basis(None, limits)
-    back = None
-    if i != ring.nvars - 1:
-        _, to, back = with_variable_last(ring, i)
-        basis = buchberger([to(g) for g in basis], None, limits)
-    if not any(all(m[-1] for m, _ in g.terms) for g in basis):
-        # x_i divides no basis element, so I : x_i = I
+    last = ring.nvars - 1
+    gens = reduced = I.groebner_basis(None, limits)
+    for p, r, n in steps:
+        to = back = sub = unsub = None
+        if p != last:
+            _, to, back = with_variable_last(ring, p)
+        if r:
+            x = ring.gens()[p]
+            sub, unsub = _substitution(ring, p, x - r), _substitution(ring, p, x + r)
+        if to is None and sub is None and gens is reduced:
+            basis = gens
+        else:
+            basis = buchberger([_apply(to, _apply(sub, g)) for g in gens], None, limits)
+        cuts = [min(n, min(m[-1] for m, _ in g.terms)) for g in basis]
+        if any(cuts):
+            gens = [_apply(unsub, _apply(back, _divide_last(g, k))) for g, k in zip(basis, cuts)]
+    if gens is reduced:
         return Ideal.from_reduced_basis(ring, reduced)
-    quotients = []
-    for g in basis:
-        if all(m[-1] for m, _ in g.terms):
-            # dividing every term by the last variable keeps their order
-            g = Polynomial(g.ring, tuple((m[:-1] + (m[-1] - 1,), c) for m, c in g.terms))
-        quotients.append(g if back is None else back(g))
-    return Ideal.from_reduced_basis(ring, buchberger(quotients, None, limits))
+    return Ideal.from_reduced_basis(ring, buchberger(gens, None, limits))
+
+
+def _apply(map_, g: Polynomial) -> Polynomial:
+    return g if map_ is None else map_(g)
+
+
+def _divide_last(g: Polynomial, k: int) -> Polynomial:
+    """g / x^k for the last variable x, which divides every term k times."""
+    if not k:
+        return g
+    # dividing every term by one monomial keeps their order
+    return Polynomial(g.ring, tuple((m[:-1] + (m[-1] - k,), c) for m, c in g.terms))
 
 
 def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
                   memo: dict | None = None) -> Ideal:
     """(I : f) = {g : g*f in I}.
 
-    A variable c*x_i on a weighted-homogeneous I takes the graded route
-    above, its output scaled by 1/c (then no longer monic, so not stored as
-    a reduced basis); otherwise the colon is (I cap (f)) / f.  memo, when
-    given, maps (I.gens, J.gens) to intersect(I, J) and is read and filled
-    instead of intersecting again.
+    On a weighted-homogeneous I, a term c*x^a and a power c*l^n of a linear
+    form whose variables share one weight take the graded route above.
+    For a term the output is (I cap (x^a)) / x^a exactly, stored as the
+    reduced basis of I : x^a when c = 1 and scaled by 1/c otherwise (then
+    no longer monic, so not stored); for c*l^n it is the reduced basis of
+    I : l^n.  Every other colon is (I cap (f)) / f.  memo, when given, maps
+    (I.gens, f) to I : f and (I.gens, J.gens) to intersect(I, J), and is
+    read and filled instead of computing again.
     """
     ring = I.ring
     if f.ring != ring:
@@ -224,11 +306,22 @@ def colon_by_poly(I: Ideal, f: Polynomial, limits: Limits = DEFAULT_LIMITS,
         return Ideal(ring, [ring.one()])
     if I.is_zero:
         return Ideal(ring, [])
+    return _memoised(memo, (I.gens, f), lambda: _colon_by_poly(I, f, limits, memo))
+
+
+def _colon_by_poly(I: Ideal, f: Polynomial, limits: Limits, memo: dict | None) -> Ideal:
+    ring = I.ring
     (mono, c), *rest = f.terms
     monic_monomial = not rest and c == ring.field.one
-    if not rest and sum(mono) == 1 and I.is_homogeneous(limits):
-        out = _graded_colon_by_variable(I, mono.index(1), limits)
-        if monic_monomial:
+    if rest:
+        root = _linear_root(f)
+        steps = None if root is None else [root]
+    else:
+        # the last variable first: its step reads the stored basis of I
+        steps = [(i, None, mono[i]) for i in reversed(range(ring.nvars)) if mono[i]]
+    if steps is not None and I.is_homogeneous(limits):
+        out = _graded_colon(I, steps, limits)
+        if rest or monic_monomial:
             return out
         inv = ring.field.inv(c)
         return Ideal(ring, [g.scale(inv) for g in out.gens])
@@ -276,7 +369,7 @@ def colon(I: Ideal, J: Ideal, limits: Limits = DEFAULT_LIMITS,
           memo: dict | None = None) -> Ideal:
     """(I : J) = intersection of (I : g) over the generators g of J.
 
-    memo is the intersection memo of `colon_by_poly`.
+    memo is the memo of colons and intersections of `colon_by_poly`.
     """
     ring = _same_ring(I, J)
     if J.is_zero:

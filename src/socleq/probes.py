@@ -17,8 +17,8 @@ Three families live here:
   by M itself, not by its preimage a + M: X contains a, so X : a = S and
   X : (a + M) = (X : a) cap (X : M) = X : M exactly.  Hypotheses are
   checked first and instances that fail them are reported as skipped,
-  never as violations.  Each verifier call shares one intersection memo
-  among its colons and drops it when it returns.
+  never as violations.  Each verifier call shares one memo of colons and
+  intersections among its colons and drops it when it returns.
 
 * seeded sampling probes (type estimate, weak-sequence scan, invariance
   of length minus multiplicity, greedy depth).  These report what the
@@ -78,9 +78,11 @@ def is_d_sequence(local: LocalRing, seq, memo: dict | None = None) -> ProbeVerdi
     """Does (x_1..x_{i-1}) : x_i = (x_1..x_{i-1}) : x_i x_j hold in A for
     all 1 <= i <= j <= s?
 
-    memo, when given, is the intersection memo of the colons (see
-    `idealops.colon_by_poly`), shared by a caller that checks several
-    sequences over one ring."""
+    The colon by x_i x_j is taken as ((x_1..x_{i-1}) : x_i) : x_j, so a
+    product of linear forms is two colons by linear forms, which need no
+    elimination on homogeneous ideals.  memo, when given, is the memo of
+    colons and intersections of `idealops.colon_by_poly`, shared by a
+    caller that checks several sequences over one ring."""
     seq = list(seq)
     _require_in_m(seq)
     details = []
@@ -89,7 +91,7 @@ def is_d_sequence(local: LocalRing, seq, memo: dict | None = None) -> ProbeVerdi
         base = local.full(Ideal(local.ring, seq[: i - 1]))
         rhs = colon_by_poly(base, seq[i - 1], local.limits, memo)
         for j in range(i, len(seq) + 1):
-            lhs = colon_by_poly(base, seq[i - 1] * seq[j - 1], local.limits, memo)
+            lhs = colon_by_poly(rhs, seq[j - 1], local.limits, memo)
             equal, method = _local_equal(local, lhs, rhs)
             details.append((i, j, equal, method))
             if method != "s-level":
@@ -108,8 +110,8 @@ def is_strong_d_sequence(local: LocalRing, seq, exp_bound: int,
     """Bounded form of the powered condition: checks that every tuple of
     powers in [1, exp_bound]^s is a d-sequence.  The unbounded statement
     quantifies over all exponents; the verdict only vouches for the box
-    it actually visited.  One intersection memo (memo, or a fresh one)
-    serves every tuple, which repeat each other's colons."""
+    it actually visited.  One memo of colons and intersections (memo, or a
+    fresh one) serves every tuple, which repeat each other's colons."""
     seq = list(seq)
     if exp_bound < 1:
         raise InputError("exponent bound must be at least 1")
@@ -186,7 +188,7 @@ def lemma_colon_split(local: LocalRing, L: Ideal, x: Polynomial, W: Ideal,
         return _skipped("x not certified to lie in M")
 
     lx = colon_by_poly(Lf, x, local.limits, memo)
-    lx2 = colon_by_poly(Lf, x * x, local.limits, memo)
+    lx2 = colon_by_poly(lx, x, local.limits, memo)  # L : x^2 = (L : x) : x
     eq, _ = _local_equal(local, lx2, lx)
     if eq is not True:
         return _skipped("L : x^2 = L : x failed or undecided")

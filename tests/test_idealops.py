@@ -170,7 +170,20 @@ def _elimination_colon(I, x):
 
 
 def _no_intersect(*args, **kw):
-    raise AssertionError("a graded colon by a variable must not intersect")
+    raise AssertionError("a graded colon by a term or a power of a linear form must not intersect")
+
+
+def _graded_divisors(ring):
+    """Terms, then linear forms and scaled powers of them, that take the
+    graded route on a homogeneous ideal of a three-variable ring; the
+    second list is empty when the variables do not share a weight."""
+    x = ring.gens()
+    terms = list(x) + [x[0] * x[1], x[0] ** 2 * x[2] ** 3, x[0] * x[1] ** 3 * x[2] ** 2,
+                       2 * x[1] ** 2]
+    if len(set(ring.weights)) > 1:
+        return terms, []
+    l1, l2 = x[0] - 2 * x[1], x[0] + x[1] + x[2]
+    return terms, [l1, l2, x[1] + 3 * x[2], 3 * l1 ** 2, -(l2 ** 3), 2 * (x[0] + x[2]) ** 3]
 
 
 @pytest.mark.parametrize("field", [FP(32003), QQ], ids=["F32003", "QQ"])
@@ -188,12 +201,65 @@ def test_graded_colon_by_variable_matches_elimination(monkeypatch, field, ident,
     ring = z.ring
     I = ideal_sum(z.local.defining, Ideal(ring, parse_poly_list(extra, ring) if extra else []))
     assert I.is_homogeneous()
-    want = [_elimination_colon(I, x) for x in ring.gens()]
+    terms, powers = _graded_divisors(ring)
+    want = [_elimination_colon(I, f) for f in terms + powers]
     monkeypatch.setattr(idealops, "intersect", _no_intersect)
-    for x, ref in zip(ring.gens(), want):
-        got = colon_by_poly(I, x)
+    for f, ref in zip(terms, want):
+        got = colon_by_poly(I, f)
         assert got.gens == ref
         assert got.groebner_basis() == tuple(buchberger(ref))
+    for f, ref in zip(powers, want[len(terms):]):
+        # the reduced basis of I : l^n, stored as such
+        assert colon_by_poly(I, f).gens == tuple(buchberger(ref))
+
+
+@pytest.mark.parametrize("ident, gens, f, graded_shape", [
+    # a linear form whose variables have the weights 3 and 4
+    ("semigroup3", "", "X1 + X2", False),
+    # a form that is not a power of a linear form
+    ("triple_line", "Z^4", "X^2 + Y*Z", False),
+    # an inhomogeneous ideal, by a term and by a power of a linear form
+    ("triple_line", "Z^3 - Y", "X*Z^2", True),
+    ("triple_line", "Z^3 - Y", "(X + Z)^2", True),
+])
+def test_colons_outside_the_graded_route_eliminate(monkeypatch, ident, gens, f, graded_shape):
+    z = build(ident, FP(32003))
+    ring = z.ring
+    I = ideal_sum(z.local.defining, Ideal(ring, parse_poly_list(gens, ring) if gens else []))
+    f = parse_poly(f, ring)
+    want = _elimination_colon(I, f)
+    calls, tested = [], []
+    monkeypatch.setattr(idealops, "intersect", lambda *a: calls.append(a) or intersect(*a))
+    is_homogeneous = Ideal.is_homogeneous
+    monkeypatch.setattr(Ideal, "is_homogeneous", lambda self, *a: tested.append(self) or is_homogeneous(self, *a))
+    assert colon_by_poly(I, f).gens == want
+    assert len(calls) == 1
+    # a divisor of the wrong shape is refused before I's basis is computed
+    assert len(tested) == int(graded_shape)
+
+
+def test_power_of_a_linear_form_in_its_characteristic_eliminates():
+    # over F_3, (X + Y)^3 = X^3 + Y^3: the cross terms vanish and do not
+    # determine the linear form, so the colon eliminates
+    r = RingSpec(FP(3), ["X", "Y", "Z"])
+    I, f = ideal(r, "X^4, Y^4, X*Z^2"), parse_poly("(X + Y)^3", r)
+    assert str(f) == "X^3 + Y^3"
+    out = colon_by_poly(I, f)
+    assert out.gens == _elimination_colon(I, f)
+    assert basis_strs(out) == ["X*Y", "Y*Z^2", "X*Z^2", "X^3 - Y^3", "Y^4"]
+
+
+def test_colon_memo_holds_colons_by_a_polynomial(monkeypatch, rxyz):
+    I, f = ideal(rxyz, "X^2 - Y*Z, Y^3, X*Z^2"), parse_poly("(X - Y)^2", rxyz)
+    memo = {}
+    out = colon_by_poly(I, f, memo=memo)
+    assert memo == {(I.gens, f): out}
+
+    def recompute(*args):
+        raise AssertionError("a colon held in the memo is computed again")
+
+    monkeypatch.setattr(idealops, "_colon_by_poly", recompute)
+    assert colon_by_poly(I, f, memo=memo) is out
 
 
 def test_inhomogeneous_colon_by_variable_eliminates(monkeypatch, rxy):
@@ -248,9 +314,9 @@ def _colon_by_meets(I, J, limits=Limits()):
 
 
 @pytest.mark.parametrize("gens, divisor, limits, meets", [
-    # a positive-dimensional numerator: two meets and one intersection
-    # inside the colon by X^2
-    ("X^3, X*Y, Y^2 - X*Z", "X^2, Y, Z", Limits(), 3),
+    # a positive-dimensional numerator: two meets, and the colon by X^2
+    # takes the graded route
+    ("X^3, X*Y, Y^2 - X*Z", "X^2, Y, Z", Limits(), 2),
     # a divisor with a generator of two terms: one meet and one intersection
     # inside its colon
     ("X^3, X*Y, Y^2 - X*Z, Z^4", "X + Y^2, Z", Limits(), 2),
